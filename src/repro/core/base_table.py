@@ -99,9 +99,6 @@ class BaseBlockTable:
             for record in self._store.get((bid,))
         ]
 
-    def block_tuple_count(self, bid: int) -> int:
-        return len(self._store.get((bid,)))
-
     @property
     def num_tuples(self) -> int:
         return self._store.num_records

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 
@@ -55,30 +56,32 @@ class BlockGrid:
             if any(a >= b for a, b in zip(edges, edges[1:])):
                 raise GridError(f"boundaries of {dim!r} must be strictly increasing")
 
+    def __getstate__(self) -> dict:
+        # the cached shape below is derived, not state: pickles (and so
+        # workspace snapshots) hold the two fields only
+        return {"dims": self.dims, "boundaries": self.boundaries}
+
     # ------------------------------------------------------------------
-    # shape
+    # shape (derived once per grid object; read on every frontier step)
     # ------------------------------------------------------------------
     @property
     def num_dims(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def bins_per_dim(self) -> tuple[int, ...]:
         return tuple(len(edges) - 1 for edges in self.boundaries)
 
-    @property
+    @cached_property
     def num_blocks(self) -> int:
-        total = 1
-        for bins in self.bins_per_dim:
-            total *= bins
-        return total
+        return self.strides[-1] * self.bins_per_dim[-1]
 
-    def _strides(self) -> tuple[int, ...]:
-        strides = []
-        stride = 1
-        for bins in self.bins_per_dim:
-            strides.append(stride)
-            stride *= bins
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Row-major bid step per dimension (dim 0 fastest)."""
+        strides = [1]
+        for bins in self.bins_per_dim[:-1]:
+            strides.append(strides[-1] * bins)
         return tuple(strides)
 
     # ------------------------------------------------------------------
@@ -90,7 +93,7 @@ class BlockGrid:
         if len(coords) != len(bins):
             raise GridError(f"expected {len(bins)} coordinates, got {len(coords)}")
         bid = 0
-        for coord, bin_count, stride in zip(coords, bins, self._strides()):
+        for coord, bin_count, stride in zip(coords, bins, self.strides):
             if not 0 <= coord < bin_count:
                 raise GridError(f"coordinate {coord} out of range [0, {bin_count})")
             bid += coord * stride
@@ -140,25 +143,16 @@ class BlockGrid:
                 f"expected an (n, {self.num_dims}) point array, got {array.shape}"
             )
         bids = np.zeros(len(array), dtype=np.int64)
-        stride = 1
-        for d, edges in enumerate(self.boundaries):
+        for d, (edges, stride) in enumerate(zip(self.boundaries, self.strides)):
             edges_arr = np.asarray(edges)
             coords = np.searchsorted(edges_arr, array[:, d], side="right") - 1
             np.clip(coords, 0, len(edges) - 2, out=coords)
             bids += coords * stride
-            stride *= len(edges) - 1
         return [int(b) for b in bids]
 
     def box(self, bid: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Closed box ``(lower, upper)`` covered by a block."""
-        coords = self.coords_of(bid)
-        lower = tuple(
-            edges[c] for c, edges in zip(coords, self.boundaries)
-        )
-        upper = tuple(
-            edges[c + 1] for c, edges in zip(coords, self.boundaries)
-        )
-        return lower, upper
+        return self.sub_box(bid, range(len(self.boundaries)))
 
     def full_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The box covering the whole grid."""
@@ -168,15 +162,16 @@ class BlockGrid:
         )
 
     def neighbors(self, bid: int) -> Iterator[int]:
-        """Face-adjacent blocks (differ by one step along one dimension)."""
-        coords = list(self.coords_of(bid))
-        for d, bins in enumerate(self.bins_per_dim):
-            for step in (-1, 1):
-                coord = coords[d] + step
-                if 0 <= coord < bins:
-                    coords[d] = coord
-                    yield self.bid_of(coords)
-                    coords[d] = coords[d] - step
+        """Face-adjacent blocks (one step along one dimension), dim 0
+        first, the lower neighbor before the upper one."""
+        if not 0 <= bid < self.num_blocks:
+            raise GridError(f"bid {bid} out of range [0, {self.num_blocks})")
+        for stride, bins in zip(self.strides, self.bins_per_dim):
+            coord = bid // stride % bins
+            if coord > 0:
+                yield bid - stride
+            if coord < bins - 1:
+                yield bid + stride
 
     def project(self, dims: Sequence[str]) -> tuple[int, ...]:
         """Positions of ``dims`` within the grid's dimension order."""
@@ -197,8 +192,9 @@ class BlockGrid:
         (Figure 6's r < R setting): the lower bound of f over the block
         only involves the dimensions f reads.
         """
-        lower, upper = self.box(bid)
+        coords = self.coords_of(bid)
+        edges = self.boundaries
         return (
-            tuple(lower[p] for p in dim_positions),
-            tuple(upper[p] for p in dim_positions),
+            tuple(edges[p][coords[p]] for p in dim_positions),
+            tuple(edges[p][coords[p] + 1] for p in dim_positions),
         )

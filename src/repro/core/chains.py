@@ -98,13 +98,13 @@ class ChainStore:
         if locator is None:
             return []
         page_index, slot, count = _unpack_locator(locator)
-        capacity = self.codec.capacity(self.page_size)
         records: list[tuple] = []
         while count > 0:
-            page = RecordPage.from_bytes(
-                self.pool.get(self._page_ids[page_index]), self.codec, self.page_size
+            page_id = self._page_ids[page_index]
+            take = RecordPage.read_slots(
+                self.pool.get(page_id), self.codec, self.page_size,
+                slot, count, page_id,
             )
-            take = page.records[slot:slot + count]
             records.extend(take)
             count -= len(take)
             page_index += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .blocks import BlockGrid, GridError
@@ -51,11 +52,15 @@ class PseudoBlockMap:
         if self.sf < 1:
             raise GridError(f"scale factor must be >= 1, got {self.sf}")
 
-    @property
+    def __getstate__(self) -> dict:
+        # like BlockGrid's: the cached shape stays out of pickles
+        return {"grid": self.grid, "sf": self.sf}
+
+    @cached_property
     def pbins_per_dim(self) -> tuple[int, ...]:
         return tuple(-(-bins // self.sf) for bins in self.grid.bins_per_dim)
 
-    @property
+    @cached_property
     def num_pseudo_blocks(self) -> int:
         total = 1
         for bins in self.pbins_per_dim:

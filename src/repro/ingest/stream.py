@@ -13,8 +13,8 @@ turns batch appends into a crash-safe pipeline:
    cascades LSM-style merges (``fanout`` runs of a level fold into one
    run a level up), so compaction pressure is measured in *runs*, not
    just raw tuples,
-4. **compact** — once the tiers cross ``compact_threshold`` tuples, the
-   ingestor drains the delta through
+4. **compact** — once the cube's delta reaches ``compact_threshold``
+   tuples, the ingestor drains the delta through
    :class:`~repro.core.compaction.CubeCompactor`; the compactor's
    ``on_swap`` callback retires the drained runs,
 5. **checkpoint** — :meth:`StreamIngestor.checkpoint` compacts, saves a
@@ -181,7 +181,7 @@ class StreamIngestor:
     wal_path:
         The write-ahead log file.
     compact_threshold:
-        Compact once the tiers hold at least this many tuples.
+        Compact once the cube's delta holds at least this many tuples.
     tier_fanout:
         Runs per level before an LSM merge cascades upward.
     fault_hook:
@@ -257,7 +257,12 @@ class StreamIngestor:
         self.tiers.add_run(record.first_tid, len(rows))
         self._count("ingest.rows", len(rows))
         self._count("ingest.batches")
-        if self.tiers.total_rows >= self.compact_threshold:
+        # a repartition absorbs the delta without the compactor: retire
+        # the runs the cube no longer holds, oldest first
+        absorbed = self.tiers.total_rows - self.cube.delta_size
+        if absorbed > 0:
+            self.tiers.drain(absorbed)
+        if self.cube.delta_size >= self.compact_threshold:
             self.compact()
         return len(rows)
 

@@ -88,7 +88,3 @@ class Database:
         """Flush and drop every buffered page (per-query cold start)."""
         self.pool.flush()
         self.pool.clear()
-
-    @property
-    def total_size_in_bytes(self) -> int:
-        return self.device.size_in_bytes

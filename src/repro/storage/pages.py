@@ -78,9 +78,10 @@ class RecordCodec:
     def pack(self, records: Sequence[tuple]) -> bytes:
         return b"".join(self._struct.pack(*record) for record in records)
 
-    def unpack(self, data: bytes, count: int) -> list[tuple]:
-        size = self.record_size
-        return [self._struct.unpack_from(data, i * size) for i in range(count)]
+    def unpack(self, data: bytes, count: int, offset: int = 0) -> list[tuple]:
+        """Decode ``count`` records starting ``offset`` bytes into ``data``."""
+        end = offset + count * self.record_size
+        return list(self._struct.iter_unpack(memoryview(data)[offset:end]))
 
 
 class RecordPage:
@@ -133,23 +134,42 @@ class RecordPage:
         page_size: int,
         page_id: int | None = None,
     ) -> "RecordPage":
-        page_type, count, next_encoded = _HEADER.unpack_from(data)
+        page = cls(codec, page_size)
+        page.records = cls.read_slots(data, codec, page_size, 0, page.capacity, page_id)
+        next_encoded = _HEADER.unpack_from(data)[2]
+        page.next_page_id = None if next_encoded == NO_NEXT_PAGE else next_encoded
+        return page
+
+    @staticmethod
+    def read_slots(
+        data: bytes,
+        codec: RecordCodec,
+        page_size: int,
+        slot: int,
+        count: int,
+        page_id: int | None = None,
+    ) -> list[tuple]:
+        """Decode records ``[slot, slot + count)`` of a page image.
+
+        Validates the header, then decodes only that range (clipped to
+        the records the page holds).
+        """
+        page_type, stored, _next = _HEADER.unpack_from(data)
         if page_type not in _KNOWN_PAGE_TYPES:
             raise PageCorruptionError(
                 f"unknown page type {page_type} (damaged header)", page_id=page_id
             )
         if page_type != PAGE_TYPE_RECORD:
             raise PageFormatError(f"expected record page, found type {page_type}")
-        page = cls(codec, page_size)
-        if count > page.capacity:
+        capacity = codec.capacity(page_size)
+        if stored > capacity:
             raise PageCorruptionError(
-                f"record count {count} exceeds page capacity {page.capacity} "
+                f"record count {stored} exceeds page capacity {capacity} "
                 "(damaged header)",
                 page_id=page_id,
             )
-        page.records = codec.unpack(data[_HEADER.size:], count)
-        page.next_page_id = None if next_encoded == NO_NEXT_PAGE else next_encoded
-        return page
+        take = max(0, min(count, stored - slot))
+        return codec.unpack(data, take, _HEADER.size + slot * codec.record_size)
 
 
 class BytesPage:

@@ -9,7 +9,7 @@ unsigned so small negative gaps stay short.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .device import StorageError
 
@@ -56,23 +56,6 @@ def zigzag_encode(value: int) -> int:
 
 def zigzag_decode(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
-
-
-def encode_uvarint_sequence(values: Iterable[int]) -> bytes:
-    """Encode a sequence of unsigned ints back to back."""
-    out = bytearray()
-    for value in values:
-        encode_uvarint(value, out)
-    return bytes(out)
-
-
-def decode_uvarint_sequence(data: bytes, count: int, offset: int = 0) -> tuple[list[int], int]:
-    """Decode ``count`` unsigned varints; return (values, new offset)."""
-    values = []
-    for _ in range(count):
-        value, offset = decode_uvarint(data, offset)
-        values.append(value)
-    return values, offset
 
 
 def delta_encode_sorted(values: Sequence[int]) -> bytes:

@@ -101,12 +101,7 @@ def block_bounds(
         return [
             float(fn.min_over_box(*grid.sub_box(bid, positions))) for bid in bids
         ]
-    bins = grid.bins_per_dim
-    strides = []
-    stride = 1
-    for count in bins:
-        strides.append(stride)
-        stride *= count
+    bins, strides = grid.bins_per_dim, grid.strides
     bid_arr = np.asarray(bids, dtype=np.int64)
     lowers, uppers = [], []
     for p in positions:

@@ -1,8 +1,10 @@
 """Unit tests for the block grid."""
 
+import pickle
+
 import pytest
 
-from repro.core import BlockGrid, GridError
+from repro.core import BlockGrid, GridError, PseudoBlockMap
 
 
 def make_grid():
@@ -11,6 +13,47 @@ def make_grid():
         ("n1", "n2"),
         ((0.0, 0.3, 0.6, 1.0), (0.0, 0.5, 1.0)),
     )
+
+
+#: ``make_grid()`` and ``PseudoBlockMap(make_grid(), 2)`` pickled at
+#: protocol 5 before the derived shape existed: their state holds the
+#: dataclass fields only.  Snapshots must keep these bytes and load them.
+LEGACY_GRID_PICKLE = (
+    b"\x80\x05\x95\x91\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.core.blocks"
+    b"\x94\x8c\tBlockGrid\x94\x93\x94)\x81\x94}\x94(\x8c\x04dims\x94\x8c\x02n1"
+    b"\x94\x8c\x02n2\x94\x86\x94\x8c\nboundaries\x94(G\x00\x00\x00\x00\x00\x00"
+    b"\x00\x00G?\xd3333333G?\xe3333333G?\xf0\x00\x00\x00\x00\x00\x00t\x94G"
+    b"\x00\x00\x00\x00\x00\x00\x00\x00G?\xe0\x00\x00\x00\x00\x00\x00G?\xf0"
+    b"\x00\x00\x00\x00\x00\x00\x87\x94\x86\x94ub."
+)
+LEGACY_PSEUDO_PICKLE = (
+    b"\x80\x05\x95\xce\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.core.pseudo"
+    b"\x94\x8c\x0ePseudoBlockMap\x94\x93\x94)\x81\x94}\x94(\x8c\x04grid\x94"
+    b"\x8c\x11repro.core.blocks\x94\x8c\tBlockGrid\x94\x93\x94)\x81\x94}\x94("
+    b"\x8c\x04dims\x94\x8c\x02n1\x94\x8c\x02n2\x94\x86\x94\x8c\nboundaries\x94"
+    b"(G\x00\x00\x00\x00\x00\x00\x00\x00G?\xd3333333G?\xe3333333G?\xf0\x00"
+    b"\x00\x00\x00\x00\x00t\x94G\x00\x00\x00\x00\x00\x00\x00\x00G?\xe0\x00"
+    b"\x00\x00\x00\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00\x87\x94\x86\x94ub"
+    b"\x8c\x02sf\x94K\x02ub."
+)
+
+class TestPickle:
+    def test_bytes_hold_only_the_fields(self):
+        grid = make_grid()
+        assert pickle.dumps(grid, protocol=5) == LEGACY_GRID_PICKLE
+        pseudo = PseudoBlockMap(grid, 2)
+        assert pickle.dumps(pseudo, protocol=5) == LEGACY_PSEUDO_PICKLE
+
+    def test_legacy_bytes_derive_the_shape_on_load(self):
+        grid = pickle.loads(LEGACY_GRID_PICKLE)
+        assert grid == make_grid()
+        assert grid.bins_per_dim == (3, 2)
+        assert grid.strides == (1, 3)
+        assert grid.num_blocks == 6
+        assert list(grid.neighbors(4)) == [3, 5, 1]
+        pseudo = pickle.loads(LEGACY_PSEUDO_PICKLE)
+        assert pseudo.pbins_per_dim == (2, 1)
+        assert [pseudo.pid_of_bid(b) for b in range(6)] == [0, 0, 1, 0, 0, 1]
 
 
 class TestShape:

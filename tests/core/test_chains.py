@@ -1,7 +1,18 @@
 """Unit tests for keyed record chains."""
 
+import struct
+
+import pytest
+
 from repro.core import ChainStore
-from repro.storage import BlockDevice, BufferPool, RecordCodec
+from repro.core.chains import _unpack_locator
+from repro.storage import (
+    BlockDevice,
+    BufferPool,
+    PageCorruptionError,
+    RecordCodec,
+    RecordPage,
+)
 
 
 def make_store(page_size=256, capacity=64):
@@ -70,3 +81,46 @@ class TestIOBehaviour:
             + store.directory.size_in_bytes
         )
         assert store.size_in_bytes == expected
+
+
+class TestSlotRangeDecode:
+    @staticmethod
+    def whole_page_get(store, key):
+        """Reference read: decode every page whole, then slice."""
+        page_index, slot, count = _unpack_locator(store.directory.get(key))
+        records = []
+        while count > 0:
+            page = RecordPage.from_bytes(
+                store.pool.get(store._page_ids[page_index]),
+                store.codec, store.page_size,
+            )
+            take = page.records[slot:slot + count]
+            records.extend(take)
+            count -= len(take)
+            page_index += 1
+            slot = 0
+        return records
+
+    def test_matches_whole_page_decode(self):
+        # capacity 20 per page: groups share pages, and the long ones span
+        _d, _p, store = make_store(page_size=256)
+        sizes = [1, 7, 4, 45, 2, 20, 61, 3, 19]
+        groups = [
+            ((k,), [(k * 100 + i, -i) for i in range(size)])
+            for k, size in enumerate(sizes)
+        ]
+        store.build(groups)
+        assert store.num_chain_pages > 4
+        for key, records in groups:
+            assert store.get(key) == self.whole_page_get(store, key) == records
+
+    def test_damaged_record_count_raises(self):
+        _d, pool, store = make_store(page_size=64)
+        store.build([((0,), [(i, i) for i in range(3)])])
+        page_id = store._page_ids[0]
+        image = bytearray(pool.get(page_id))
+        capacity = store.codec.capacity(store.page_size)
+        struct.pack_into("<H", image, 2, capacity + 1)
+        pool.put(page_id, bytes(image))
+        with pytest.raises(PageCorruptionError, match="exceeds page capacity"):
+            store.get((0,))

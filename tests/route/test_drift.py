@@ -6,7 +6,9 @@ import pytest
 
 from repro.core import CubeCompactor, RankingCube, RankingCubeExecutor
 from repro.core.partition import EquiDepthPartitioner
+from repro.ingest import StreamIngestor
 from repro.obs import MetricsRegistry
+from repro.persist import Workspace
 from repro.ranking import LinearFunction
 from repro.relational import Database, Schema, TopKQuery, ranking_attr, selection_attr
 from repro.route import DriftDetector, repartition_cube
@@ -137,6 +139,37 @@ class TestRepartition:
         executor = RankingCubeExecutor(cube, table)
         got = [(r.score, r.tid) for r in executor.execute(query()).rows]
         assert got == brute_force_topk(SCHEMA, rows + appended, query())
+
+
+    def test_ingest_compaction_waits_for_a_threshold_after_repartition(
+        self, tmp_path
+    ):
+        db, table, cube, rows = make_env()
+        registry = MetricsRegistry()
+        ingestor = StreamIngestor(
+            Workspace(db=db, cubes={"R": cube}), "R", tmp_path / "R.wal",
+            compact_threshold=60, registry=registry,
+        )
+        rng = random.Random(37)
+
+        def batch(n):
+            return [
+                (rng.randrange(CARDS[0]), rng.randrange(CARDS[1]),
+                 rng.random(), rng.random())
+                for _ in range(n)
+            ]
+
+        ingestor.append(batch(50))
+        report = repartition_cube(cube, table, db.pool)
+        assert report.swapped and report.absorbed_delta == 50
+        # 50 absorbed + 15 new would cross the threshold; 15 alone does not
+        ingestor.append(batch(15))
+        assert registry.counter("ingest.compactions").value == 0
+        assert cube.delta_size == 15
+        assert ingestor.tiers.total_rows == 15
+        ingestor.append(batch(45))
+        assert registry.counter("ingest.compactions").value == 1
+        ingestor.close()
 
 
 class TestDriftingWorkload:

@@ -1,10 +1,13 @@
 """Tests for workspace persistence."""
 
+import copyreg
+import dataclasses
+import io
 import pickle
 
 import pytest
 
-from repro.core import RankingCube, RankingCubeExecutor
+from repro.core import BlockGrid, PseudoBlockMap, RankingCube, RankingCubeExecutor
 from repro.persist import FORMAT_VERSION, PersistError, Workspace, load_workspace, save_workspace
 from repro.ranking import LinearFunction
 from repro.relational import Database, TopKQuery
@@ -53,6 +56,28 @@ class TestRoundtrip:
         executor = RankingCubeExecutor(restored.cube("R"), restored.db.table("R"))
         query = TopKQuery(1, {"a1": 0, "a2": 0}, LinearFunction(["n1", "n2"], [1, 1]))
         assert executor.execute(query).scores == [pytest.approx(0.0)]
+
+    def test_grid_state_without_derived_shape_loads(self, workspace):
+        """Snapshots written before grids derived their shape hold only
+        the dataclass fields of every grid and pseudo-block map."""
+
+        class FieldsOnlyPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) not in (BlockGrid, PseudoBlockMap):
+                    return NotImplemented
+                state = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+                return copyreg.__newobj__, (type(obj),), state
+
+        dataset, ws = workspace
+        buffer = io.BytesIO()
+        FieldsOnlyPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(ws)
+        assert buffer.getvalue() == pickle.dumps(ws, protocol=pickle.HIGHEST_PROTOCOL)
+        restored = pickle.loads(buffer.getvalue())
+        executor = RankingCubeExecutor(restored.cube("R"), restored.db.table("R"))
+        original = RankingCubeExecutor(ws.cube("R"), ws.db.table("R"))
+        gen = QueryGenerator(dataset.schema, QuerySpec(k=5, seed=4))
+        for query in gen.batch(5):
+            assert executor.execute(query).rows == original.execute(query).rows
 
     def test_save_workspace_helper(self, workspace, tmp_path):
         _dataset, ws = workspace
