@@ -712,9 +712,9 @@ def run_ingest_schedule(
 # ----------------------------------------------------------------------
 # sharded failover schedules
 # ----------------------------------------------------------------------
-#: Kill points the failover matrix drives.  All five exist in thread
-#: mode; in process mode ``enum_next`` kills the worker process between
-#: batches (there is no front-end hook inside a worker's enumeration).
+#: Kill points the failover matrix drives, in both modes.  For
+#: ``enum_next`` the process-mode schedule SIGKILLs the worker itself
+#: between batches; its next refill then meets a dead pipe.
 FAILOVER_KILL_POINTS = (
     "scatter",        # shard death while opening per-shard searches
     "merge_round",    # shard death mid-merge, partial heap in hand
@@ -784,7 +784,7 @@ class _PrimaryKill:
     def kill_worker(self) -> None:
         """SIGKILL the victim's current worker (process mode only)."""
         self.fired = True
-        handle = self.service._proc_pool._handles.get(self.victim)
+        handle = self.service._shard_pool._handles.get(self.victim)
         if handle is not None and handle.alive:
             handle.process.kill()
             handle.process.join(timeout=10)

@@ -1,33 +1,41 @@
-"""Process-per-shard workers for the sharded serving tier.
+"""Shard pools for the sharded serving tier.
 
-Thread-mode scatter-gather (:class:`~repro.serve.sharded.ShardedQueryService`)
-is correct but GIL-bound: every shard's retrieve/evaluate loop runs in
-one interpreter, so multi-shard serving cannot beat the unsharded
-baseline on wall clock.  This module moves each shard's *entire* serving
-stack — :class:`~repro.storage.device.BlockDevice`, buffer pool, cube
-snapshot, shared caches — into a long-lived **worker process** that owns
-it exclusively:
+:class:`~repro.serve.sharded.ShardedQueryService` coordinates every
+sharded query through one interface: ``pool.handle(shard_id).request(
+<wire message>)`` (plus ``shard_ids``, ``promote``, ``cold_cache`` and
+``close`` on the pool).  One session implementation answers those
+messages — :class:`ShardStack`, a shard's executor, caches and open
+searches — and two pools serve it:
 
-* **Bootstrap** — workers start from the spawn context
-  (:func:`repro.core.parallel.spawn_context`) and warm-start from the
-  shard's persisted :class:`~repro.persist.Workspace` snapshot, verified
-  against the SHA-256 pin in the shard manifest.  A respawned worker
-  therefore always serves byte-identical state to the one it replaces.
-* **Protocol** — length-prefixed pickle frames (:mod:`repro.serve.wire`)
-  over a :func:`multiprocessing.Pipe`; one request at a time per worker,
-  sessions keyed by request id so many front-end queries can interleave
-  rounds on one worker.
-* **Failure** — a worker death mid-conversation surfaces as a typed
-  :class:`~repro.serve.wire.WorkerDiedError`; the pool respawns the
-  worker from the pinned snapshot (bounded, with retries) while the
-  affected queries degrade to the
-  :class:`~repro.core.executor.QueryAbortedError` path.
-* **Observability** — the worker executes under its own process-local
-  :class:`~repro.obs.metrics.MetricsRegistry`; each closed session ships
-  the per-query counter deltas and completed span trees back, and the
-  front end folds them into its registry/span tree (see
-  ``ShardedQueryService``), so ``bench profile`` and the golden-trace
-  suite see one coherent tree per query.
+* :class:`InProcessShardPool` (``mode="thread"``) keeps one stack per
+  shard in this interpreter; a handle *is* the stack, so a request is a
+  direct method call, with no pickling and no pipe.
+* :class:`ProcessShardPool` (``mode="process"``) moves each shard's
+  *entire* stack — :class:`~repro.storage.device.BlockDevice`, buffer
+  pool, cube snapshot, shared caches — into a long-lived **worker
+  process** that owns it exclusively, so shard steps run GIL-free:
+
+  * **Bootstrap** — workers start from the spawn context
+    (:func:`repro.core.parallel.spawn_context`) and warm-start from the
+    shard's persisted :class:`~repro.persist.Workspace` snapshot,
+    verified against the SHA-256 pin in the shard manifest.  A respawned
+    worker therefore always serves byte-identical state to the one it
+    replaces.
+  * **Protocol** — length-prefixed pickle frames (:mod:`repro.serve.wire`)
+    over a :func:`multiprocessing.Pipe`; one request at a time per
+    worker, sessions keyed by request id so many front-end queries can
+    interleave rounds on one worker.
+  * **Failure** — a worker death mid-conversation surfaces as a typed
+    :class:`~repro.serve.wire.WorkerDiedError`; the pool respawns the
+    worker from the pinned snapshot (bounded, with retries) while the
+    affected queries degrade to the
+    :class:`~repro.core.executor.QueryAbortedError` path.
+
+Each closed session reports the per-query counter deltas of the stack's
+own :class:`~repro.obs.metrics.MetricsRegistry` and its completed span
+trees, and the front end folds them into its registry/span tree, so
+``bench profile`` and the golden-trace suite see one coherent tree per
+query in either mode.
 """
 
 from __future__ import annotations
@@ -50,8 +58,11 @@ from ..core.reverse import count_preceding
 from ..core.parallel import spawn_context
 from ..obs.metrics import MetricsRegistry, diff_counter_items
 from ..obs.tracing import Tracer
+from ..shard.builder import clone_shard
+from ..shard.map import ShardError
 from ..storage.device import StorageError
 from . import wire
+from .cache import BoundMemo, PseudoBlockCache
 
 #: Seconds the front end waits on a worker reply before declaring it dead.
 DEFAULT_WORKER_TIMEOUT = 60.0
@@ -66,10 +77,10 @@ class ProcPoolError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# worker side
+# the shard session implementation (both pools)
 # ----------------------------------------------------------------------
 class _Session:
-    """One open progressive search (or any-k cursor) inside a worker.
+    """One open progressive search (or any-k cursor) on a shard stack.
 
     ``cursor`` is None for batched top-k sessions; enumeration sessions
     (:class:`~repro.serve.wire.OpenEnum`) hold their
@@ -97,6 +108,347 @@ class _Session:
         self.cursor = cursor
 
 
+class ShardStack:
+    """One shard's serving stack and the sessions open on it.
+
+    A worker process owns exactly one and answers every request it
+    receives with :meth:`request`; :class:`InProcessShardPool` keeps one
+    per shard and hands it out as the shard's handle.  Either way the
+    same code opens, steps and closes every session.
+    """
+
+    #: A stack in this interpreter never dies (only a worker process can).
+    alive = True
+
+    def __init__(self, shard_id: int, db, table, cube, options: dict):
+        self.shard_id = shard_id
+        self.db = db
+        self.cube = cube
+        self.registry = getattr(db.pool, "registry", None) or MetricsRegistry()
+        self._listener = None
+        if options.get("share_caches", True):
+            self.pseudo_cache = PseudoBlockCache(registry=self.registry)
+            self.bound_memo = BoundMemo(registry=self.registry)
+            # appends and compaction swaps must drop cached pseudo blocks
+            self._listener = self.pseudo_cache.invalidate_cuboids
+            cube.add_invalidation_listener(self._listener)
+        else:
+            self.pseudo_cache = self.bound_memo = None
+        self.executor = RankingCubeExecutor(
+            cube,
+            table,
+            buffer_pseudo_blocks=options.get("buffer_pseudo_blocks", True),
+            pseudo_cache=self.pseudo_cache,
+            bound_memo=self.bound_memo,
+        )
+        self.sessions: dict[int, _Session] = {}
+
+    def close(self) -> None:
+        """Unhook the cache from the cube (idempotent)."""
+        if self._listener is not None:
+            self.cube.remove_invalidation_listener(self._listener)
+            self._listener = None
+
+    def _open(self, msg, query, *, enum: bool) -> _Session:
+        if msg.request_id in self.sessions:
+            raise wire.WireError(f"session {msg.request_id} already open")
+        trace = ExecutorTrace()
+        io_before = self.db.io_snapshot()
+        counters_before = self.registry.counter_items()
+        if enum:
+            cursor = AnyKCursor(self.executor, query, trace, tracer=None)
+            search = cursor.search
+        else:
+            search, cursor = ProgressiveSearch(self.executor, query, trace), None
+        session = _Session(
+            msg.request_id, search, trace,
+            Tracer(self.registry) if msg.trace else None,
+            io_before, counters_before, query.k, cursor=cursor,
+        )
+        self.sessions[msg.request_id] = session
+        return session
+
+    def request(self, msg):
+        """Serve one wire request; ``None`` answers :class:`~repro.serve
+        .wire.Shutdown`.  Typed storage errors propagate to the caller."""
+        if isinstance(msg, wire.OpenSearch):
+            session = self._open(msg, msg.query, enum=False)
+            return self._step_session(session, msg.kth, msg.max_steps, opening=True)
+        if isinstance(msg, wire.StepBatch):
+            session = self.sessions.get(msg.request_id)
+            if session is None:
+                raise wire.WireError(f"no open session {msg.request_id}")
+            return self._step_session(session, msg.kth, msg.max_steps, opening=False)
+        if isinstance(msg, wire.OpenEnum):
+            query = msg.query
+            if query.projection is not None:
+                # the front end projects from global tids after the merge
+                query = replace(query, projection=None)
+            return self._enum_next(self._open(msg, query, enum=True), msg.count)
+        if isinstance(msg, wire.StepNext):
+            session = self.sessions.get(msg.request_id)
+            if session is None or session.cursor is None:
+                raise wire.WireError(f"no open enum session {msg.request_id}")
+            return self._enum_next(session, msg.count)
+        if isinstance(msg, wire.ReverseCount):
+            io_before = self.db.io_snapshot()
+            counters_before = self.registry.counter_items()
+            preceding, sub = count_preceding(
+                self.executor, msg.query, msg.t_score, msg.tie_tid
+            )
+            return wire.ReverseCounted(
+                request_id=msg.request_id,
+                preceding=preceding,
+                blocks_accessed=sub.blocks_accessed,
+                candidates_examined=sub.candidates_examined,
+                tuples_examined=sub.tuples_examined,
+                device_reads=self.db.io_since(io_before).reads,
+                counter_deltas=diff_counter_items(
+                    counters_before, self.registry.counter_items()
+                ),
+            )
+        if isinstance(msg, wire.CloseSearch):
+            session = self.sessions.pop(msg.request_id, None)
+            if session is None:
+                raise wire.WireError(f"no open session {msg.request_id}")
+            result = session.search.result
+            return wire.SearchClosed(
+                request_id=msg.request_id,
+                blocks_accessed=result.blocks_accessed,
+                candidates_examined=result.candidates_examined,
+                tuples_examined=result.tuples_examined,
+                device_reads=self.db.io_since(session.io_before).reads,
+                counter_deltas=diff_counter_items(
+                    session.counters_before, self.registry.counter_items()
+                ),
+                spans=list(session.tracer.roots) if session.tracer is not None else [],
+            )
+        if isinstance(msg, wire.ColdCache):
+            self.db.cold_cache()
+            if self.pseudo_cache is not None:
+                self.pseudo_cache.clear()
+            if self.bound_memo is not None:
+                self.bound_memo.clear()
+            return wire.Ack()
+        if isinstance(msg, wire.Ping):
+            return wire.Pong(shard_id=self.shard_id, pid=os.getpid(), rows=0)
+        if isinstance(msg, wire.Shutdown):
+            return None
+        raise wire.WireError(f"unknown request {type(msg).__name__}")
+
+    def _step_session(self, session: _Session, kth, max_steps, *, opening: bool):
+        """Run one batch (plus delta rows when opening), traced if requested."""
+        delta_rows: list[tuple[float, int]] = []
+        if session.tracer is not None:
+            with session.tracer.span(
+                "shard_batch", shard=self.shard_id, round=session.rounds
+            ) as span:
+                if opening:
+                    delta_rows = session.search.delta_rows()
+                scored, steps = _run_batch(session, kth, max_steps)
+                span.add_many(steps=steps, scored=len(scored))
+                if opening:
+                    span.add("delta_rows", len(delta_rows))
+        else:
+            if opening:
+                delta_rows = session.search.delta_rows()
+            scored, steps = _run_batch(session, kth, max_steps)
+        for score, tid in delta_rows:
+            _push_topk(session.local_topk, session.k, score, tid)
+        session.rounds += 1
+        return wire.SearchBatch(
+            request_id=session.request_id,
+            scored=scored,
+            best_unseen=session.search.best_unseen,
+            exhausted=session.search.exhausted,
+            steps=steps,
+            delta_rows=delta_rows,
+        )
+
+    def _enum_next(self, session: _Session, count: int):
+        """Pull the next certified enumeration rows, traced if requested."""
+        cursor = session.cursor
+        if session.tracer is not None:
+            with session.tracer.span(
+                "shard_enum_batch", shard=self.shard_id, round=session.rounds
+            ) as span:
+                rows = cursor.next_batch(count)
+                span.add_many(rows=len(rows))
+        else:
+            rows = cursor.next_batch(count)
+        session.rounds += 1
+        return wire.NextBatch(
+            request_id=session.request_id,
+            rows=[(row.score, row.tid) for row in rows],
+            exhausted=cursor.exhausted,
+        )
+
+
+def _run_batch(session: _Session, kth: float | None, max_steps: int):
+    """Step a session's search under the merge's continue rules.
+
+    Stops at ``max_steps``, at exhaustion, when the global bound prunes
+    the shard (``best_unseen > kth``, the strict complement of the
+    merge's non-strict continue), or when the shard's *local* top-k is
+    certified — locally certified means no further step can change this
+    shard's contribution to any global answer, which is exactly where
+    the naive per-shard executor stops too.
+    """
+    search = session.search
+    scored: list[tuple[float, int]] = []
+    steps = 0
+    while steps < max_steps and not search.exhausted:
+        bound = search.best_unseen
+        if kth is not None and bound > kth:
+            break
+        if len(session.local_topk) >= session.k and bound > -session.local_topk[0][0]:
+            break
+        for score, tid in search.step():
+            _push_topk(session.local_topk, session.k, score, tid)
+            scored.append((score, tid))
+        steps += 1
+    return scored, steps
+
+
+def _session_blocks(sessions: dict, msg) -> int:
+    session = sessions.get(getattr(msg, "request_id", None))
+    return session.search.result.blocks_accessed if session is not None else 0
+
+
+# ----------------------------------------------------------------------
+# in-process pool (thread mode)
+# ----------------------------------------------------------------------
+class InProcessShardPool:
+    """Every shard's :class:`ShardStack` in this interpreter.
+
+    A handle is the stack itself, so ``handle(sid).request(msg)`` is a
+    direct call.  A search opens without stepping and then steps once per
+    round: a round costs only a function call, so the merge refreshes its
+    global k-th bound after every block, as the serial executor does.
+
+    Stacks are created on demand, so a shard whose cube was built after
+    the pool (first append into an empty shard) is served too.  With
+    ``replicas > 0`` every shard keeps that many
+    :func:`~repro.shard.builder.clone_shard` copies; :meth:`promote`
+    swaps one into the deployment when the primary's storage fails.
+    """
+
+    #: Frontier steps shipped with an opening and with each round.
+    open_steps = 0
+    round_steps = 1
+
+    def __init__(
+        self,
+        cube,
+        *,
+        options: dict | None = None,
+        registry: MetricsRegistry | None = None,
+        fault_hook=None,
+        replicas: int = 0,
+    ):
+        self.cube = cube
+        self.options = dict(options or {})
+        self.registry = registry if registry is not None else MetricsRegistry()
+        #: test seam: ``fault_hook("promote", shard_id)`` fires before a
+        #: replica is taken off the bench
+        self.fault_hook = fault_hook
+        self.replicas = replicas
+        self._stacks: dict[int, ShardStack] = {}
+        self._standbys: dict[int, list] = {}
+        self._lock = threading.Lock()
+        for shard_id in self.shard_ids:
+            self.handle(shard_id)
+        self.refresh_replicas()
+
+    @property
+    def shard_ids(self) -> list[int]:
+        return [s.shard_id for s in self.cube.shards if s.cube is not None]
+
+    def handle(self, shard_id: int) -> ShardStack:
+        stack = self._stacks.get(shard_id)
+        if stack is not None:
+            return stack
+        with self._lock:
+            stack = self._stacks.get(shard_id)
+            if stack is None:
+                shard = self.cube.shards[shard_id]
+                if shard.cube is None:
+                    raise ProcPoolError(f"shard {shard_id} holds no rows")
+                stack = self._stacks[shard_id] = _stack_of(shard, self.options)
+            return stack
+
+    def refresh_replicas(self) -> None:
+        """(Re)clone the warm replicas from the current shards.
+
+        Replicas are point-in-time clones: rows appended after cloning
+        make a replica stale, and a stale replica is *rejected* at
+        promotion time rather than silently losing rows.  Call this after
+        appends to re-arm failover.
+        """
+        with self._lock:
+            self._standbys = {
+                shard.shard_id: [clone_shard(shard) for _ in range(self.replicas)]
+                for shard in self.cube.shards
+                if shard.cube is not None
+            }
+
+    def promote(self, shard_id: int) -> ShardStack:
+        """Swap a warm replica in for ``shard_id``'s primary.
+
+        Raises :class:`ProcPoolError` when no replica remains or every
+        remaining one is stale.
+        """
+        with self._lock:
+            bench = self._standbys.get(shard_id, [])
+            while bench:
+                # fire the fault seam *before* consuming the clone: a
+                # crash at the promotion instant must not burn the warm
+                # standby it never installed
+                if self.fault_hook is not None:
+                    self.fault_hook("promote", shard_id)
+                replica = bench.pop(0)
+                try:
+                    self.cube.replace_shard(shard_id, replica)
+                except ShardError:
+                    continue  # stale or mismatched clone
+                old = self._stacks.pop(shard_id, None)
+                if old is not None:
+                    old.close()
+                stack = self._stacks[shard_id] = _stack_of(replica, self.options)
+                self.registry.counter(
+                    "shard.replica.promotions", shard=str(shard_id)
+                ).inc()
+                # refill the bench from the healthy replica so a second
+                # failure still finds a warm copy
+                bench.append(clone_shard(replica))
+                return stack
+        raise ProcPoolError(f"shard {shard_id} has no usable replica left")
+
+    def cold_cache(self) -> None:
+        """Drop every shard's buffered pages and shared caches."""
+        for shard_id in self.shard_ids:
+            self.handle(shard_id).request(wire.ColdCache())
+
+    def cache_stats(self) -> dict[int, dict[str, int]]:
+        """Per-shard pseudo-block cache counters (empty when disabled)."""
+        return {
+            shard_id: stack.pseudo_cache.stats.snapshot()
+            for shard_id, stack in sorted(self._stacks.items())
+            if stack.pseudo_cache is not None
+        }
+
+    def close(self) -> None:
+        for stack in self._stacks.values():
+            stack.close()
+
+
+def _stack_of(shard, options: dict) -> ShardStack:
+    return ShardStack(shard.shard_id, shard.db, shard.table, shard.cube, options)
+
+
+# ----------------------------------------------------------------------
+# worker process
+# ----------------------------------------------------------------------
 def _verify_pinned_snapshot(directory: Path, entry: dict) -> bytes:
     """Read a shard snapshot and check it against its manifest pin."""
     from ..persist import PersistError
@@ -118,63 +470,24 @@ def _verify_pinned_snapshot(directory: Path, entry: dict) -> bytes:
 def _bootstrap_stack(directory: str, entry: dict, cube_name: str, options: dict):
     """Load the pinned snapshot and assemble the shard's serving stack."""
     from ..persist import Workspace
-    from .cache import BoundMemo, PseudoBlockCache
 
     directory = Path(directory)
     _verify_pinned_snapshot(directory, entry)
     workspace = Workspace.load(directory / entry["file"])
     db = workspace.db
-    table = db.table(cube_name)
-    cube = workspace.cubes[cube_name]
-    registry = getattr(db.pool, "registry", None) or MetricsRegistry()
-    if options.get("share_caches", True):
-        pseudo_cache = PseudoBlockCache(registry=registry)
-        bound_memo = BoundMemo(registry=registry)
-    else:
-        pseudo_cache = bound_memo = None
-    executor = RankingCubeExecutor(
-        cube,
-        table,
-        buffer_pseudo_blocks=options.get("buffer_pseudo_blocks", True),
-        pseudo_cache=pseudo_cache,
-        bound_memo=bound_memo,
+    return ShardStack(
+        int(entry["shard_id"]),
+        db,
+        db.table(cube_name),
+        workspace.cubes[cube_name],
+        options,
     )
-    return db, executor, registry, pseudo_cache, bound_memo
-
-
-def _run_batch(session: _Session, kth: float | None, max_steps: int):
-    """Step a session's search under the merge's continue rules.
-
-    Stops at ``max_steps``, at exhaustion, when the global bound prunes
-    the shard (``best_unseen > kth``, the strict complement of the
-    thread-mode merge's non-strict continue), or when the shard's *local*
-    top-k is certified — locally certified means no further step can
-    change this shard's contribution to any global answer, which is
-    exactly where the naive per-shard executor stops too.
-    """
-    search = session.search
-    scored: list[tuple[float, int]] = []
-    steps = 0
-    while steps < max_steps and not search.exhausted:
-        bound = search.best_unseen
-        if kth is not None and bound > kth:
-            break
-        if len(session.local_topk) >= session.k and bound > -session.local_topk[0][0]:
-            break
-        for score, tid in search.step():
-            _push_topk(session.local_topk, session.k, score, tid)
-            scored.append((score, tid))
-        steps += 1
-    return scored, steps
 
 
 def _shard_worker_main(conn, directory: str, entry: dict, cube_name: str, options: dict):
     """Worker process entry point: bootstrap, then the request loop."""
-    shard_id = int(entry["shard_id"])
     try:
-        db, executor, registry, pseudo_cache, bound_memo = _bootstrap_stack(
-            directory, entry, cube_name, options
-        )
+        stack = _bootstrap_stack(directory, entry, cube_name, options)
     except Exception as exc:
         try:
             wire.send_msg(conn, wire.WorkerFault(request_id=None, error=exc))
@@ -184,29 +497,25 @@ def _shard_worker_main(conn, directory: str, entry: dict, cube_name: str, option
     wire.send_msg(
         conn,
         wire.Pong(
-            shard_id=shard_id,
+            shard_id=stack.shard_id,
             pid=os.getpid(),
             rows=int(entry["rows"]),
             role=options.get("role", "primary"),
         ),
     )
 
-    sessions: dict[int, _Session] = {}
     while True:
         try:
             msg = wire.recv_msg(conn)
         except (EOFError, OSError):
             break
         try:
-            reply = _dispatch(
-                msg, sessions, db, executor, registry, pseudo_cache,
-                bound_memo, shard_id,
-            )
+            reply = stack.request(msg)
         except (StorageError, wire.WireError) as exc:
             reply = wire.WorkerFault(
                 request_id=getattr(msg, "request_id", None),
                 error=exc,
-                blocks_accessed=_session_blocks(sessions, msg),
+                blocks_accessed=_session_blocks(stack.sessions, msg),
             )
         except Exception as exc:  # never die silently on a bad request
             reply = wire.WorkerFault(
@@ -219,150 +528,6 @@ def _shard_worker_main(conn, directory: str, entry: dict, cube_name: str, option
         except (BrokenPipeError, OSError):
             break
     conn.close()
-
-
-def _session_blocks(sessions: dict, msg) -> int:
-    session = sessions.get(getattr(msg, "request_id", None))
-    return session.search.result.blocks_accessed if session is not None else 0
-
-
-def _dispatch(msg, sessions, db, executor, registry, pseudo_cache, bound_memo, shard_id):
-    if isinstance(msg, wire.OpenSearch):
-        if msg.request_id in sessions:
-            raise wire.WireError(f"session {msg.request_id} already open")
-        tracer = Tracer(registry) if msg.trace else None
-        trace = ExecutorTrace()
-        io_before = db.io_snapshot()
-        counters_before = registry.counter_items()
-        search = ProgressiveSearch(executor, msg.query, trace)
-        session = _Session(
-            msg.request_id, search, trace, tracer, io_before, counters_before,
-            msg.query.k,
-        )
-        sessions[msg.request_id] = session
-        return _step_session(session, msg.kth, msg.max_steps, shard_id, opening=True)
-    if isinstance(msg, wire.StepBatch):
-        session = sessions.get(msg.request_id)
-        if session is None:
-            raise wire.WireError(f"no open session {msg.request_id}")
-        return _step_session(session, msg.kth, msg.max_steps, shard_id, opening=False)
-    if isinstance(msg, wire.OpenEnum):
-        if msg.request_id in sessions:
-            raise wire.WireError(f"session {msg.request_id} already open")
-        tracer = Tracer(registry) if msg.trace else None
-        trace = ExecutorTrace()
-        io_before = db.io_snapshot()
-        counters_before = registry.counter_items()
-        query = msg.query
-        if query.projection is not None:
-            # the front end projects from global tids after the merge
-            query = replace(query, projection=None)
-        cursor = AnyKCursor(executor, query, trace, tracer=None)
-        session = _Session(
-            msg.request_id, cursor.search, trace, tracer, io_before,
-            counters_before, query.k, cursor=cursor,
-        )
-        sessions[msg.request_id] = session
-        return _enum_next(session, msg.count, shard_id)
-    if isinstance(msg, wire.StepNext):
-        session = sessions.get(msg.request_id)
-        if session is None or session.cursor is None:
-            raise wire.WireError(f"no open enum session {msg.request_id}")
-        return _enum_next(session, msg.count, shard_id)
-    if isinstance(msg, wire.ReverseCount):
-        io_before = db.io_snapshot()
-        counters_before = registry.counter_items()
-        preceding, sub = count_preceding(
-            executor, msg.query, msg.t_score, msg.tie_tid
-        )
-        return wire.ReverseCounted(
-            request_id=msg.request_id,
-            preceding=preceding,
-            blocks_accessed=sub.blocks_accessed,
-            candidates_examined=sub.candidates_examined,
-            tuples_examined=sub.tuples_examined,
-            device_reads=db.io_since(io_before).reads,
-            counter_deltas=diff_counter_items(
-                counters_before, registry.counter_items()
-            ),
-        )
-    if isinstance(msg, wire.CloseSearch):
-        session = sessions.pop(msg.request_id, None)
-        if session is None:
-            raise wire.WireError(f"no open session {msg.request_id}")
-        result = session.search.result
-        return wire.SearchClosed(
-            request_id=msg.request_id,
-            blocks_accessed=result.blocks_accessed,
-            candidates_examined=result.candidates_examined,
-            tuples_examined=result.tuples_examined,
-            device_reads=db.io_since(session.io_before).reads,
-            counter_deltas=diff_counter_items(
-                session.counters_before, registry.counter_items()
-            ),
-            spans=list(session.tracer.roots) if session.tracer is not None else [],
-        )
-    if isinstance(msg, wire.ColdCache):
-        db.cold_cache()
-        if pseudo_cache is not None:
-            pseudo_cache.clear()
-        if bound_memo is not None:
-            bound_memo.clear()
-        return wire.Ack()
-    if isinstance(msg, wire.Ping):
-        return wire.Pong(shard_id=shard_id, pid=os.getpid(), rows=0)
-    if isinstance(msg, wire.Shutdown):
-        return None
-    raise wire.WireError(f"unknown request {type(msg).__name__}")
-
-
-def _step_session(session: _Session, kth, max_steps, shard_id, *, opening: bool):
-    """Run one batch (plus delta rows when opening), traced if requested."""
-    delta_rows: list[tuple[float, int]] = []
-    if session.tracer is not None:
-        with session.tracer.span(
-            "shard_batch", shard=shard_id, round=session.rounds
-        ) as span:
-            if opening:
-                delta_rows = session.search.delta_rows()
-            scored, steps = _run_batch(session, kth, max_steps)
-            span.add_many(steps=steps, scored=len(scored))
-            if opening:
-                span.add("delta_rows", len(delta_rows))
-    else:
-        if opening:
-            delta_rows = session.search.delta_rows()
-        scored, steps = _run_batch(session, kth, max_steps)
-    for score, tid in delta_rows:
-        _push_topk(session.local_topk, session.k, score, tid)
-    session.rounds += 1
-    return wire.SearchBatch(
-        request_id=session.request_id,
-        scored=scored,
-        best_unseen=session.search.best_unseen,
-        exhausted=session.search.exhausted,
-        steps=steps,
-        delta_rows=delta_rows,
-    )
-
-
-def _enum_next(session: _Session, count: int, shard_id):
-    """Pull the next certified enumeration rows, traced if requested."""
-    cursor = session.cursor
-    if session.tracer is not None:
-        with session.tracer.span(
-            "shard_enum_batch", shard=shard_id, round=session.rounds
-        ) as span:
-            rows = cursor.next_batch(count)
-            span.add_many(rows=len(rows))
-    else:
-        rows = cursor.next_batch(count)
-    session.rounds += 1
-    return wire.NextBatch(
-        request_id=session.request_id,
-        rows=[(row.score, row.tid) for row in rows],
-        exhausted=cursor.exhausted,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +635,11 @@ class ShardWorkerHandle:
 
 
 class ProcessShardPool:
-    """All shard workers of one process-mode service, plus respawn logic."""
+    """All shard workers of one process-mode service, plus respawn logic.
+
+    A round trip costs a pipe write, a pickle and a context switch, so
+    every opening and every round ships ``step_batch`` frontier steps.
+    """
 
     def __init__(
         self,
@@ -483,7 +652,9 @@ class ProcessShardPool:
         registry: MetricsRegistry | None = None,
         fault_hook=None,
         replicas: int = 0,
+        step_batch: int = wire.DEFAULT_STEP_BATCH,
     ):
+        self.open_steps = self.round_steps = step_batch
         self.directory = Path(directory)
         self.manifest = manifest
         self.cube_name = manifest["name"]
@@ -655,6 +826,14 @@ class ProcessShardPool:
                     ).inc()
                 return candidate
         return self.respawn(shard_id)
+
+    def refresh_replicas(self) -> None:
+        """Nothing to do: standbys boot from the pinned snapshot, so they
+        are never stale against the workers they stand in for."""
+
+    def cache_stats(self) -> dict[int, dict[str, int]]:
+        """Empty: worker caches are not reachable from the front end."""
+        return {}
 
     def cold_cache(self) -> None:
         """Drop every worker's buffered pages and caches (bench regime).

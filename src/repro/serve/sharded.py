@@ -1,55 +1,61 @@
 """Scatter-gather top-k serving over a sharded ranking cube.
 
-:class:`ShardedQueryService` fans each :class:`TopKQuery` out to one
-:class:`~repro.core.executor.ProgressiveSearch` per consulted shard and
-merges their candidate streams in a global frontier:
+:class:`ShardedQueryService` is one coordinator over a *shard pool*.
+It fans each :class:`TopKQuery` out to one search session per consulted
+shard and merges their candidate streams in a global frontier:
 
 * **Scatter** — the :class:`~repro.shard.map.ShardMap` picks the shards
   (a single one when an equality selection pins the shard key, all of
-  them otherwise); each gets its own search over its own cube snapshot.
-* **Gather** — a merge loop steps every *eligible* shard concurrently
-  (thread pool), pushing returned ``(score, global tid)`` pairs into one
-  global top-k heap.  A shard stays eligible while the global answer is
-  short of ``k`` **or** its certified ``best_unseen`` bound is ``<=``
-  the k-th best seen score — the same non-strict continue condition the
-  serial executor uses, so tid-ascending tie-breaking survives the
-  merge.  The loop stops when no shard is eligible: every unexamined
-  block on every shard then bounds strictly above the k-th score and
-  can never displace a kept row.
+  them otherwise); each opens a session over its own cube snapshot.
+* **Gather** — a merge loop steps every *eligible* shard concurrently,
+  pushing returned ``(score, global tid)`` pairs into one global top-k
+  heap.  A shard stays eligible while the global answer is short of
+  ``k`` **or** its certified ``best_unseen`` bound is ``<=`` the k-th
+  best seen score — the same non-strict continue condition the serial
+  executor uses, so tid-ascending tie-breaking survives the merge.  The
+  loop stops when no shard is eligible: every unexamined block on every
+  shard then bounds strictly above the k-th score and can never
+  displace a kept row.
 * **Delta** — per-shard delta rows carry no block bound and merge
-  unconditionally before the loop (seeding the heap tightens the stop).
+  unconditionally with each shard's opening reply.
 
 Answers are *byte-identical* to an unsharded executor over the same
 rows (property-tested at 1/2/4 shards, pristine and faulty devices):
 scores are computed from the same stored values by the same function,
 global tids are preserved by the build, and stepping shards in any
-interleaving changes amortization only.
+interleaving changes amortization only.  Any-k enumeration
+(:class:`ShardedAnyKCursor`) and reverse top-k ride the same sessions.
+
+The coordinator speaks to every shard through one interface,
+``pool.handle(shard_id).request(<wire message>)`` (:mod:`repro.serve
+.wire`), and every shard answers with one session implementation,
+:class:`~repro.serve.procpool.ShardStack`.  The serving mode only picks
+the pool:
+
+* ``mode="thread"`` (default) — :class:`~repro.serve.procpool
+  .InProcessShardPool`: every stack lives in this interpreter and a
+  request is a direct call.  Searches open without stepping and step
+  once per round.  Cache-warm and live (appends are visible at once),
+  but GIL-bound: shard steps serialize on the interpreter lock.
+* ``mode="process"`` — :class:`~repro.serve.procpool.ProcessShardPool`:
+  each shard's whole stack (device, buffer pool, cube snapshot, caches)
+  lives in a long-lived worker **process**, warm-started from a
+  SHA-256-pinned shard snapshot, speaking length-prefixed pickle
+  frames.  Each opening and each round ships ``step_batch`` steps, so
+  pipe round trips amortize over real block work.
+
+Worker-side metrics and span trees come back with each closed session
+and are folded into the front-end registry/trace in both modes.
 
 Failure semantics: shards are independent — a storage fault on one
-(past its retry budget) aborts the *query* with
+(past its retry budget) or a dead worker aborts the *query* with
 :class:`~repro.core.executor.QueryAbortedError` carrying the merged
-partial rows, but other shards' devices, caches, and in-flight queries
-are untouched.  Each shard keeps its **own** pseudo-block cache and
+partial rows; the sessions the query opened on other shards are closed.
+With replication a dead primary is promoted away and the query retried
+whole instead.  Each shard keeps its **own** pseudo-block cache and
 bound memo (cuboid names and pids collide across shards, so sharing one
-cache would alias entries); each cache registers on its shard's storage
-registry and as an invalidation listener on its shard's cube.
-
-Two execution modes share the merge logic:
-
-* ``mode="thread"`` (default) — per-shard searches step on a thread
-  pool inside this interpreter.  Correct, cache-warm, but GIL-bound:
-  shard steps serialize on the interpreter lock.
-* ``mode="process"`` — each shard's whole stack (device, buffer pool,
-  cube snapshot, caches) lives in a long-lived worker **process**
-  (:mod:`repro.serve.procpool`), warm-started from a SHA-256-pinned
-  shard snapshot, speaking length-prefixed pickle frames
-  (:mod:`repro.serve.wire`).  The merge loop is unchanged — it just
-  steps shards in *batches* per round trip, refreshing the global k-th
-  bound between rounds — so answers are byte-identical to thread mode
-  (property-tested).  Worker-side metrics and span trees ship back with
-  each response and are folded into the front-end registry/trace.  The
-  front end adds admission control (``max_inflight``) and duplicate
-  in-flight query coalescing.
+cache would alias entries).  The front end adds admission control
+(``max_inflight``) and duplicate in-flight query coalescing.
 """
 
 from __future__ import annotations
@@ -65,29 +71,23 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import count
 
-from ..core.anyk import AnyKCursor
-from ..core.executor import (
-    ExecutorTrace,
-    ProgressiveSearch,
-    QueryAbortedError,
-    RankingCubeExecutor,
-    _push_topk,
-    _rows_from_heap,
-)
-from ..core.reverse import ReverseTopKQuery, ReverseTopKResult, count_preceding
+from ..core.executor import QueryAbortedError, _push_topk, _rows_from_heap
+from ..core.reverse import ReverseTopKQuery, ReverseTopKResult
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, Tracer, adopt_spans, maybe_span
 from ..relational.query import QueryResult, ResultRow, ShardIO, TopKQuery
-from ..shard.builder import CubeShard, ShardedCube, clone_shard
+from ..shard.builder import ShardedCube
 from ..storage.device import StorageError
 from . import wire
-from .cache import BoundMemo, PseudoBlockCache
-from .procpool import ProcessShardPool, ProcPoolError
+from .procpool import InProcessShardPool, ProcessShardPool, ProcPoolError
 from .service import (
     DEFAULT_SPAN_CAPACITY,
     ServiceClosedError,
     ServiceOverloadedError,
 )
+
+#: Failures of one shard that abort (or fail over) the request using it.
+_SHARD_FAULTS = (StorageError, wire.WorkerDiedError, ProcPoolError)
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,12 @@ class ShardedServiceStats:
 def _blame_shard(exc: BaseException, shard_id: int) -> None:
     """Attach the faulting shard id to a storage error (and its cause).
 
-    Thread-mode per-shard calls raise bare :class:`StorageError`\\ s that
-    carry no shard attribution; the failover path needs to know *which*
-    primary died to promote its replica.  Process mode gets this for
-    free from :class:`~repro.serve.wire.WorkerDiedError`.  Annotating
-    the ``cause`` too matters because the service wraps a per-shard
-    :class:`QueryAbortedError` by re-blaming its cause, not the wrapper.
+    A storage error raised by a shard's stack carries no shard
+    attribution; the failover path needs to know *which* primary died to
+    promote its replica (a :class:`~repro.serve.wire.WorkerDiedError`
+    names its shard itself).  Annotating the ``cause`` too matters
+    because the service wraps a per-shard :class:`QueryAbortedError` by
+    re-blaming its cause, not the wrapper.
     """
     for target in (exc, getattr(exc, "cause", None)):
         if target is not None and getattr(target, "shard_id", None) is None:
@@ -145,175 +145,30 @@ def _blame_shard(exc: BaseException, shard_id: int) -> None:
                 pass  # exotic exception with __slots__: no attribution
 
 
-class _ShardContext:
-    """Per-shard serving state: executor + caches + invalidation hook."""
-
-    def __init__(self, shard: CubeShard, share_caches: bool, buffer_pseudo: bool):
-        assert shard.cube is not None
-        self.shard = shard
-        registry = getattr(shard.table.pool, "registry", None)
-        if share_caches:
-            self.pseudo_cache = PseudoBlockCache(registry=registry)
-            self.bound_memo = BoundMemo(registry=registry)
-            self._listener = self.pseudo_cache.invalidate_cuboids
-            shard.cube.add_invalidation_listener(self._listener)
-        else:
-            self.pseudo_cache = None
-            self.bound_memo = None
-            self._listener = None
-        self.executor = RankingCubeExecutor(
-            shard.cube,
-            shard.table,
-            buffer_pseudo_blocks=buffer_pseudo,
-            pseudo_cache=self.pseudo_cache,
-            bound_memo=self.bound_memo,
-        )
-
-    def unhook(self) -> None:
-        if self._listener is not None and self.shard.cube is not None:
-            self.shard.cube.remove_invalidation_listener(self._listener)
-            self._listener = None
-
-
-class _ThreadEnumStream:
-    """One shard's enumeration stream, served in-process.
-
-    Wraps an :class:`~repro.core.anyk.AnyKCursor` over the shard's
-    executor; rows come back as ``(score, global tid)`` pairs, already
-    in the shard's certified rank order (the tid map is monotone, so
-    local ``(score, tid)`` order *is* global ``(score, gtid)`` order).
-    """
-
-    def __init__(
-        self,
-        shard: CubeShard,
-        ctx: _ShardContext,
-        query: TopKQuery,
-        service: "ShardedQueryService",
-    ):
-        self.shard = shard
-        self._service = service
-        self.io_before = shard.db.io_snapshot()
-        self.cursor = AnyKCursor(ctx.executor, query, ExecutorTrace())
-
-    def next_rows(self, count: int):
-        try:
-            self._service._fault("enum_next", self.shard.shard_id)
-            rows = self.cursor.next_batch(count)
-        except StorageError as exc:
-            _blame_shard(exc, self.shard.shard_id)
-            raise
-        pairs = [(row.score, self.shard.to_global(row.tid)) for row in rows]
-        return pairs, self.cursor.exhausted
-
-    def finish(self, result: QueryResult, registry, spans: list) -> None:
-        sub = self.cursor.result
-        shard_id = self.shard.shard_id
-        device_reads = self.shard.db.io_since(self.io_before).reads
-        result.blocks_accessed += sub.blocks_accessed
-        result.candidates_examined += sub.candidates_examined
-        result.tuples_examined += sub.tuples_examined
-        result.shard_io[shard_id] = ShardIO(
-            blocks_accessed=sub.blocks_accessed,
-            candidates_examined=sub.candidates_examined,
-            tuples_examined=sub.tuples_examined,
-            device_reads=device_reads,
-        )
-        registry.counter(
-            "shard.service.blocks_accessed", shard=str(shard_id)
-        ).inc(sub.blocks_accessed)
-        registry.counter(
-            "shard.service.device_reads", shard=str(shard_id)
-        ).inc(device_reads)
-
-    def abort_close(self) -> int:
-        return self.cursor.result.blocks_accessed
-
-
-class _ProcessEnumStream:
-    """One shard's enumeration stream, served by a worker process.
-
-    The :class:`~repro.serve.wire.OpenEnum` reply (the first rows) is
-    buffered here and drained before any :class:`~repro.serve.wire
-    .StepNext` round trip, so the cursor consumes both modes through
-    one ``next_rows`` interface.
-    """
-
-    def __init__(self, shard: CubeShard, handle, request_id: int, opening):
-        self.shard = shard
-        self.handle = handle
-        self.request_id = request_id
-        self._opening = opening  # first wire.NextBatch, drained once
-        self._closed_blocks = 0
-
-    def next_rows(self, count: int):
-        if self._opening is not None:
-            batch, self._opening = self._opening, None
-        else:
-            batch = self.handle.request(
-                wire.StepNext(request_id=self.request_id, count=count)
-            )
-        pairs = [
-            (score, self.shard.to_global(local_tid))
-            for score, local_tid in batch.rows
-        ]
-        return pairs, batch.exhausted
-
-    def finish(self, result: QueryResult, registry, spans: list) -> None:
-        shard_id = self.shard.shard_id
-        closed = self.handle.request(
-            wire.CloseSearch(request_id=self.request_id)
-        )
-        result.blocks_accessed += closed.blocks_accessed
-        result.candidates_examined += closed.candidates_examined
-        result.tuples_examined += closed.tuples_examined
-        result.shard_io[shard_id] = ShardIO(
-            blocks_accessed=closed.blocks_accessed,
-            candidates_examined=closed.candidates_examined,
-            tuples_examined=closed.tuples_examined,
-            device_reads=closed.device_reads,
-        )
-        registry.counter(
-            "shard.service.blocks_accessed", shard=str(shard_id)
-        ).inc(closed.blocks_accessed)
-        registry.counter(
-            "shard.service.device_reads", shard=str(shard_id)
-        ).inc(closed.device_reads)
-        registry.merge_counter_items(
-            closed.counter_deltas, shard=str(shard_id)
-        )
-        spans.extend(closed.spans)
-
-    def abort_close(self) -> int:
-        if not self.handle.alive:
-            return 0
-        closed = self.handle.request(
-            wire.CloseSearch(request_id=self.request_id)
-        )
-        return closed.blocks_accessed
+def _cause(exc: BaseException) -> BaseException:
+    return exc.cause if isinstance(exc, QueryAbortedError) else exc
 
 
 class ShardedAnyKCursor:
     """Certified rank-order enumeration over a sharded deployment.
 
-    A k-way merge over per-shard enumeration streams: each shard yields
-    its matches in ascending ``(score, gtid)`` order (thread mode: an
-    in-process :class:`~repro.core.anyk.AnyKCursor` per shard; process
-    mode: an enumeration session per worker, stepped with ``StepNext``),
+    A k-way merge over per-shard enumeration sessions
+    (:class:`~repro.serve.wire.OpenEnum`, refilled with ``StepNext``):
+    each shard yields its matches in ascending ``(score, gtid)`` order,
     and :meth:`next_batch` repeatedly emits the smallest head across
-    streams — the same tie-breaking contract as every other path, at
-    every depth.  Each stream pins its shard's snapshot at open time, so
-    the whole cursor answers as of its open point regardless of appends
-    or compaction runs that land mid-enumeration.
+    shards — the same tie-breaking contract as every other path, at
+    every depth.  Each session pins its shard's snapshot at open time,
+    so the whole cursor answers as of its open point regardless of
+    appends or compaction runs that land mid-enumeration.
 
     Not thread-safe: one consumer steps it.  A storage fault or worker
     death surfaces from :meth:`next_batch` as a typed
     :class:`~repro.core.executor.QueryAbortedError` (surviving shard
     sessions are closed best-effort, a dead worker respawns quietly in
     the background) and the cursor is then dead.  Call :meth:`close`
-    when done — it folds per-shard counters, I/O attribution, and (in
-    process mode) worker span trees into the service's registry and
-    span ring, and returns the accounting as a rows-free
+    when done — it folds per-shard counters, I/O attribution, and the
+    shards' span trees into the service's registry and span ring, and
+    returns the accounting as a rows-free
     :class:`~repro.relational.query.QueryResult`.
     """
 
@@ -321,31 +176,34 @@ class ShardedAnyKCursor:
         self,
         service: "ShardedQueryService",
         query: TopKQuery,
-        streams: dict,
-        batch: int,
+        shard_query: TopKQuery,
         tracer: Tracer | None,
-        shard_query: TopKQuery | None = None,
     ):
         self._service = service
         self.query = query
         #: the projection-stripped query the shards enumerate — kept so
-        #: a failover can reopen every stream with the exact same plan
-        self._shard_query = shard_query if shard_query is not None else query
-        self._streams = streams
-        self._order = sorted(streams)
-        self._heads: dict[int, deque] = {sid: deque() for sid in self._order}
-        self._finished: set[int] = set()
-        self._batch = max(1, batch)
+        #: a failover can reopen every session with the exact same plan
+        self._shard_query = shard_query
+        self._batch = service.step_batch
         self._tracer = tracer
         self._refills = 0
         self.rank = 0
         #: rows to silently discard after a failover reopen: the merge is
         #: deterministic, so skipping exactly ``rank`` rows fast-forwards
-        #: the fresh streams to the first row not yet emitted
+        #: the fresh sessions to the first row not yet emitted
         self._skip = 0
         self._failovers = 0
         self._dead = False
         self._result: QueryResult | None = None
+        self._open()
+
+    def _open(self) -> None:
+        self._request_id, self._handles, self._pending = (
+            self._service._open_enum(self._shard_query, self._tracer)
+        )
+        self._order = sorted(self._handles)
+        self._heads: dict[int, deque] = {sid: deque() for sid in self._order}
+        self._finished: set[int] = set()
 
     @property
     def exhausted(self) -> bool:
@@ -353,6 +211,19 @@ class ShardedAnyKCursor:
             len(self._finished) == len(self._order)
             and not any(self._heads[sid] for sid in self._order)
         )
+
+    def _refill(self, sid: int):
+        """The shard's next rows: its opening reply first, then StepNext."""
+        batch = self._pending.pop(sid, None)
+        if batch is None:
+            batch = self._service._request(
+                sid, "enum_next",
+                wire.StepNext(request_id=self._request_id, count=self._batch),
+                self._handles,
+            )
+        shard = self._service.cube.shards[sid]
+        rows = [(score, shard.to_global(tid)) for score, tid in batch.rows]
+        return rows, batch.exhausted
 
     def next_batch(self, count: int) -> list[ResultRow]:
         """The next ``count`` rows in global certified order (fewer only
@@ -370,7 +241,7 @@ class ShardedAnyKCursor:
                 for sid in self._order:
                     if sid in self._finished or self._heads[sid]:
                         continue
-                    rows, done = self._streams[sid].next_rows(self._batch)
+                    rows, done = self._refill(sid)
                     self._refills += 1
                     self._heads[sid].extend(rows)
                     if done or not rows:
@@ -392,9 +263,9 @@ class ShardedAnyKCursor:
                 row = ResultRow(tid=gtid, score=score)
                 if self.query.projection:
                     row = self._service._project(row, self.query)
-            except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
+            except _SHARD_FAULTS as exc:
                 if self._try_failover(exc):
-                    continue  # fresh streams, fast-forwarding past rank
+                    continue  # fresh sessions, fast-forwarding past rank
                 self._abort(exc, out)
             out.append(row)
             self.rank += 1
@@ -409,10 +280,10 @@ class ShardedAnyKCursor:
             yield from batch
 
     def _try_failover(self, exc: Exception) -> bool:
-        """Promote the dead shard's replica and reopen every stream.
+        """Promote the dead shard's replica and reopen every session.
 
-        Enumeration is stateful — each stream's cursor position dies
-        with its shard — so failover reopens *all* streams from scratch
+        Enumeration is stateful — each session's cursor position dies
+        with its shard — so failover reopens *all* sessions from scratch
         and fast-forwards by discarding the first :attr:`rank` merged
         rows (the merge is deterministic, so those are exactly the rows
         already emitted).  Returns ``False`` when the fault names no
@@ -428,51 +299,24 @@ class ShardedAnyKCursor:
         ):
             return False
         self._failovers += 1
-        for osid, stream in self._streams.items():
-            if osid != sid:
-                try:
-                    stream.abort_close()
-                except Exception:
-                    pass  # best effort: stream is being replaced anyway
+        service._abort_cleanup(self._handles, self._request_id, exc)
         try:
-            if service.mode == "process":
-                streams = service._open_enum_process(self._shard_query, None)
-            else:
-                streams = service._open_enum_thread(self._shard_query)
+            self._open()
         except Exception:
             return False  # reopen failed: fall through to the abort path
-        self._streams = streams
-        self._order = sorted(streams)
-        self._heads = {osid: deque() for osid in self._order}
-        self._finished = set()
         self._skip = self.rank
         return True
 
     def _abort(self, exc: Exception, partial: list[ResultRow]) -> None:
         self._dead = True
-        blocks = 0
-        dead_sid = (
-            exc.shard_id if isinstance(exc, wire.WorkerDiedError) else None
+        blocks = self._service._abort_cleanup(
+            self._handles, self._request_id, exc
         )
-        for sid in self._order:
-            if sid == dead_sid:
-                continue
-            try:
-                blocks += self._streams[sid].abort_close()
-            except Exception:
-                pass  # best effort: the cursor is aborting anyway
-        if dead_sid is not None and not self._service._replicas_enabled:
-            threading.Thread(
-                target=self._service._respawn_quietly,
-                args=(dead_sid,),
-                name=f"repro-shard-respawn-{dead_sid}",
-                daemon=True,
-            ).start()
         raise QueryAbortedError(
             f"sharded enumeration aborted at rank {self.rank}: {exc}",
             partial_rows=partial,
             blocks_accessed=blocks,
-            cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
+            cause=_cause(exc),
         ) from exc
 
     def close(self) -> QueryResult:
@@ -480,15 +324,15 @@ class ShardedAnyKCursor:
         if self._result is not None:
             return self._result
         result = QueryResult(shard_io={})
-        assert result.shard_io is not None
         if self._dead:
             self._result = result
             return result
-        worker_spans: list = []
+        shard_spans: list = []
         for sid in self._order:
-            self._streams[sid].finish(
-                result, self._service.registry, worker_spans
+            closed = self._service._request(
+                sid, None, wire.CloseSearch(self._request_id), self._handles
             )
+            shard_spans.extend(self._service._fold_closed(result, sid, closed))
         if self._tracer is not None:
             with self._tracer.span(
                 "anyk_query",
@@ -503,7 +347,7 @@ class ShardedAnyKCursor:
                     blocks_accessed=result.blocks_accessed,
                     candidates_examined=result.candidates_examined,
                 )
-                adopt_spans(root, worker_spans)
+                adopt_spans(root, shard_spans)
             self._service._retain_spans(self._tracer)
         self._result = result
         return result
@@ -517,7 +361,7 @@ class ShardedAnyKCursor:
 
 
 class ShardedQueryService:
-    """Thread-pooled scatter-gather serving over a :class:`ShardedCube`.
+    """Scatter-gather serving over a :class:`ShardedCube`.
 
     Parameters
     ----------
@@ -526,10 +370,11 @@ class ShardedQueryService:
     workers:
         Concurrent queries in flight (front-end pool width).
     step_workers:
-        Width of the *separate* shard-step pool the merge loop fans out
-        on (default ``max(workers, num_shards)``).  Two pools because a
-        query thread blocks on its shards' step futures — steps never
-        submit further work, so the layering cannot deadlock.
+        Width of the *separate* shard-request pool the coordinator fans
+        out on (default ``max(workers, num_shards)``).  Two pools because
+        a query thread blocks on its shards' request futures — shard
+        requests never submit further work, so the layering cannot
+        deadlock.
     share_caches / buffer_pseudo_blocks:
         As on :class:`~repro.serve.service.QueryService`, but the shared
         caches are **per shard** (see module docstring).
@@ -537,19 +382,19 @@ class ShardedQueryService:
         Service-level metrics spine: global query/abort/latency series
         plus per-shard *labeled* series (``shard.service.steps`` etc.,
         one series per ``shard=<id>`` label).  Private when omitted —
-        shard storage trees keep their own registries either way.  In
-        process mode, worker-side per-query counter deltas are merged in
-        under an added ``shard=<id>`` label.
+        shard storage trees keep their own registries either way.  Each
+        shard's per-query counter deltas are merged in under an added
+        ``shard=<id>`` label.
     trace_spans:
         Retain per-query span trees (``query`` → ``shard_merge``) in
-        :attr:`spans`, a bounded ring like the unsharded service's.  In
-        process mode the workers' ``shard_batch`` spans are shipped back
-        and adopted under the merge span.
+        :attr:`spans`, a bounded ring like the unsharded service's.  The
+        shards' ``shard_batch`` spans are adopted under the merge span.
     mode:
-        ``"thread"`` (default) or ``"process"`` — see the module
-        docstring.  Process mode snapshots the deployment at
-        construction time: rows appended to ``cube`` afterwards are not
-        visible to the workers until a new service is built.
+        ``"thread"`` (default) or ``"process"`` — which shard pool serves
+        the sessions (see the module docstring).  Process mode snapshots
+        the deployment at construction time: rows appended to ``cube``
+        afterwards are not visible to the workers until a new service is
+        built.
     spill_dir:
         Process mode only: directory holding (or to hold) the pinned
         per-shard snapshots.  When omitted the service spills to a
@@ -567,15 +412,18 @@ class ShardedQueryService:
         thread mode, where repeated identical queries are how callers
         deliberately warm the per-shard caches.
     step_batch / worker_timeout_s / fault_hook:
-        ``step_batch`` and ``worker_timeout_s`` are process-mode tuning:
-        frontier steps per worker round trip and the reply deadline
-        after which a worker is declared dead.  ``fault_hook`` is a test
-        seam called as ``fault_hook(point, shard_id)`` at per-shard
-        serving points in *both* modes: ``"scatter"`` /
-        ``"merge_round"`` / ``"enum_open"`` / ``"reverse_count"`` /
-        ``"promote"`` everywhere, ``"enum_next"`` in thread mode
-        (process enumeration kills target the worker process itself),
-        and ``"finish"`` / ``"respawn"`` in process mode.  An exception the
+        ``step_batch`` is the rows per any-k refill in both modes and,
+        in process mode, the frontier steps per worker round trip;
+        ``worker_timeout_s`` is the process-mode reply deadline after
+        which a worker is declared dead.  ``fault_hook`` is a test seam
+        called as ``fault_hook(point, shard_id)`` in *both* modes, before
+        the coordinator's request to a shard at that point:
+        ``"scatter"`` (open a top-k session), ``"merge_round"`` (each
+        step round), ``"finish"`` (close it), ``"enum_open"`` /
+        ``"enum_next"`` (open / refill an any-k session) and
+        ``"reverse_count"``; the pools add ``"promote"`` (before a
+        replica leaves the bench) and, process mode only,
+        ``"respawn"`` (after a fresh worker spawns).  An exception the
         hook raises surfaces exactly as a real fault at that point
         would, which is how the failover kill matrix steers deaths.
     """
@@ -600,6 +448,8 @@ class ShardedQueryService:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if step_batch < 1:
+            raise ValueError("step_batch must be >= 1")
         if mode not in ("thread", "process"):
             raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
         self.cube = cube
@@ -621,9 +471,6 @@ class ShardedQueryService:
         self._inflight_count = 0
         self._inflight: dict[bytes, Future] = {}
         self._request_ids = count(1)
-        self._contexts: dict[int, _ShardContext] = {}
-        self._contexts_lock = threading.Lock()
-        self._proc_pool: ProcessShardPool | None = None
         self._owned_spill_dir: str | None = None
         #: replication: N-1 warm copies per shard (``ShardMap``), so a
         #: dead primary fails the query over instead of aborting it
@@ -632,19 +479,21 @@ class ShardedQueryService:
         self._max_failovers = (
             max(1, self.replication_factor - 1) if self._replicas_enabled else 0
         )
-        self._failover_lock = threading.Lock()
-        self._thread_replicas: dict[int, list[CubeShard]] = {}
+        options = {
+            "share_caches": share_caches,
+            "buffer_pseudo_blocks": buffer_pseudo_blocks,
+        }
         if mode == "thread":
-            for shard in cube.shards:
-                if shard.cube is not None:
-                    self._contexts[shard.shard_id] = _ShardContext(
-                        shard, share_caches, buffer_pseudo_blocks
-                    )
-            if self._replicas_enabled:
-                self.refresh_replicas()
+            self._shard_pool = InProcessShardPool(
+                cube,
+                options=options,
+                registry=self.registry,
+                fault_hook=fault_hook,
+                replicas=self.replication_factor - 1,
+            )
         else:
-            self._proc_pool = self._start_proc_pool(
-                spill_dir, worker_timeout_s, fault_hook
+            self._shard_pool = self._start_proc_pool(
+                spill_dir, options, worker_timeout_s
             )
         self._queries_counter = self.registry.counter("shard.service.queries")
         self._searches_counter = self.registry.counter(
@@ -668,7 +517,7 @@ class ShardedQueryService:
         self._closed = False
 
     def _start_proc_pool(
-        self, spill_dir: str | None, worker_timeout_s: float, fault_hook
+        self, spill_dir: str | None, options: dict, worker_timeout_s: float
     ) -> ProcessShardPool:
         """Spill the deployment (unless already pinned) and boot workers."""
         from ..persist import SHARD_MANIFEST, ShardedWorkspace
@@ -687,40 +536,28 @@ class ShardedQueryService:
         return ProcessShardPool(
             directory,
             manifest,
-            options={
-                "share_caches": self.share_caches,
-                "buffer_pseudo_blocks": self.buffer_pseudo_blocks,
-            },
+            options=options,
             timeout=worker_timeout_s,
             registry=self.registry,
-            fault_hook=fault_hook,
+            fault_hook=self._fault_hook,
             replicas=self.replication_factor - 1,
+            step_batch=self.step_batch,
         )
 
     # ------------------------------------------------------------------
     # replica failover
     # ------------------------------------------------------------------
     def refresh_replicas(self) -> None:
-        """(Re)clone thread-mode warm replicas from the current shards.
+        """Re-clone thread-mode warm replicas from the current shards.
 
         Thread-mode replicas are point-in-time clones
         (:func:`~repro.shard.builder.clone_shard`): rows appended after
         cloning make a replica stale, and a stale replica is *rejected*
         at promotion time rather than silently losing rows.  Call this
-        after appends to re-arm failover.  No-op when replication is
-        off or in process mode (workers re-pin from their snapshots).
+        after appends to re-arm failover.  No-op in process mode
+        (standbys boot from the same pinned snapshot as the workers).
         """
-        if not self._replicas_enabled or self.mode != "thread":
-            return
-        with self._failover_lock:
-            self._thread_replicas = {
-                shard.shard_id: [
-                    clone_shard(shard)
-                    for _ in range(self.replication_factor - 1)
-                ]
-                for shard in self.cube.shards
-                if shard.cube is not None
-            }
+        self._shard_pool.refresh_replicas()
 
     @staticmethod
     def _dead_shard_of(exc: BaseException) -> int | None:
@@ -734,12 +571,10 @@ class ShardedQueryService:
         """Promote a warm replica for ``shard_id``; True if the query
         should retry.
 
-        Process mode delegates to
-        :meth:`~repro.serve.procpool.ProcessShardPool.promote` (warm
-        standby worker from the same pinned snapshot).  Thread mode
-        swaps a :func:`clone_shard` copy into the deployment and
-        rebuilds the shard's serving context.  Returns ``False`` — and
-        the original abort stands — when replication is off, no live
+        The pool does the promotion: a warm standby worker from the same
+        pinned snapshot in process mode, a :func:`clone_shard` copy
+        swapped into the deployment in thread mode.  Returns ``False`` —
+        and the original abort stands — when replication is off, no live
         replica remains, or the replica is stale.
         """
         if not self._replicas_enabled:
@@ -747,51 +582,41 @@ class ShardedQueryService:
         with maybe_span(
             tracer, "failover", shard=shard_id, mode=self.mode
         ) as span:
-            if self.mode == "process":
-                pool = self._proc_pool
-                assert pool is not None
-                try:
-                    pool.promote(shard_id)
-                except Exception:
-                    return False
-            else:
-                with self._failover_lock:
-                    bench = self._thread_replicas.get(shard_id, [])
-                    promoted = False
-                    while bench and not promoted:
-                        # fire the fault seam *before* consuming the clone:
-                        # a crash at the promotion instant must not burn
-                        # the warm standby it never installed
-                        self._fault("promote", shard_id)
-                        replica = bench.pop(0)
-                        try:
-                            self.cube.replace_shard(shard_id, replica)
-                        except Exception:
-                            continue  # stale or mismatched clone
-                        promoted = True
-                        with self._contexts_lock:
-                            old = self._contexts.pop(shard_id, None)
-                            if old is not None:
-                                old.unhook()
-                            self._contexts[shard_id] = _ShardContext(
-                                replica,
-                                self.share_caches,
-                                self.buffer_pseudo_blocks,
-                            )
-                        self.registry.counter(
-                            "shard.replica.promotions", shard=str(shard_id)
-                        ).inc()
-                        # refill the bench from the healthy replica so a
-                        # second failure still finds a warm copy
-                        bench.append(clone_shard(replica))
-                    if not promoted:
-                        return False
+            try:
+                self._shard_pool.promote(shard_id)
+            except Exception:
+                return False
             self.registry.counter(
                 "shard.replica.failovers", shard=str(shard_id)
             ).inc()
             if span is not None:
                 span.add("promoted", 1)
         return True
+
+    def _with_failover(self, attempt):
+        """Run one attempt, retrying it whole on replica promotion.
+
+        Failover retries the *entire* request rather than resuming it:
+        per-shard session state died with the shard, and the merge is
+        deterministic, so a clean re-run on the promoted replica is
+        byte-identical to a run that never saw the fault.  Each failed
+        query attempt is still recorded as an aborted attempt in
+        :attr:`stats`; the failover itself shows up in the
+        ``shard.replica.failovers`` counter.
+        """
+        attempts = 0
+        while True:
+            try:
+                return attempt()
+            except StorageError as exc:  # includes QueryAbortedError
+                sid = self._dead_shard_of(exc)
+                if sid is None or attempts >= self._max_failovers:
+                    raise
+                tracer = Tracer(self.registry) if self.trace_spans else None
+                if not self._failover(sid, tracer):
+                    raise
+                self._retain_spans(tracer)
+                attempts += 1
 
     # ------------------------------------------------------------------
     # serving APIs
@@ -803,9 +628,21 @@ class ShardedQueryService:
         coalescing: an identical query already in flight returns the
         *same* future instead of executing again.
         """
+        key = pickle.dumps(query) if self.coalesce else None
+        return self._admit(self._run_one, query, key)
+
+    def submit_reverse(
+        self, query: ReverseTopKQuery
+    ) -> "Future[ReverseTopKResult]":
+        """Enqueue one reverse top-k query (admission-controlled like
+        :meth:`submit`; never coalesced — the payload includes function
+        families that are awkward as cache keys and reverse queries are
+        rarely identical)."""
+        return self._admit(self._run_reverse, query, None)
+
+    def _admit(self, run, query, key: bytes | None) -> Future:
         if self._closed:
             raise ServiceClosedError("ShardedQueryService is closed")
-        key = pickle.dumps(query) if self.coalesce else None
         with self._inflight_lock:
             if key is not None:
                 existing = self._inflight.get(key)
@@ -821,7 +658,7 @@ class ShardedQueryService:
                     f"{self._inflight_count} query(ies) already in flight "
                     f"(max_inflight={self.max_inflight})"
                 )
-            future = self._pool.submit(self._run_one, query)
+            future = self._pool.submit(run, query)
             self._inflight_count += 1
             if key is not None:
                 self._inflight[key] = future
@@ -858,150 +695,334 @@ class ShardedQueryService:
             query if query.projection is None
             else replace(query, projection=None)
         )
-        attempts = 0
-        while True:
-            try:
-                if self.mode == "process":
-                    streams = self._open_enum_process(shard_query, tracer)
-                else:
-                    streams = self._open_enum_thread(shard_query)
-                break
-            except QueryAbortedError as exc:
-                sid = self._dead_shard_of(exc)
-                if (
-                    sid is not None
-                    and attempts < self._max_failovers
-                    and self._failover(sid, tracer)
-                ):
-                    attempts += 1
-                    continue
-                raise
-        return ShardedAnyKCursor(
-            self, query, streams, self.step_batch, tracer,
-            shard_query=shard_query,
+        return self._with_failover(
+            lambda: ShardedAnyKCursor(self, query, shard_query, tracer)
         )
 
-    def _open_enum_thread(self, query: TopKQuery) -> dict:
-        streams: dict[int, _ThreadEnumStream] = {}
-        for shard_id in self.cube.shard_map.shards_for_query(query.selections):
-            shard = self.cube.shards[shard_id]
-            ctx = self._context(shard)
-            if ctx is None:  # empty shards hold no rows at all
-                continue
-            try:
-                self._fault("enum_open", shard_id)
-                streams[shard_id] = _ThreadEnumStream(shard, ctx, query, self)
-            except StorageError as exc:
-                for stream in streams.values():
-                    try:
-                        stream.abort_close()
-                    except Exception:
-                        pass  # best effort: the open is aborting anyway
-                _blame_shard(exc, shard_id)
-                raise QueryAbortedError(
-                    f"sharded enumeration failed to open: {exc}",
-                    partial_rows=[],
-                    blocks_accessed=0,
-                    cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-                ) from exc
-        return streams
+    def _open_enum(self, query: TopKQuery, tracer: Tracer | None):
+        """Open one enumeration session per consulted shard.
 
-    def _open_enum_process(self, query: TopKQuery, tracer) -> dict:
-        pool = self._proc_pool
-        assert pool is not None
-        available = set(pool.shard_ids)
-        targets = [
-            sid
-            for sid in self.cube.shard_map.shards_for_query(query.selections)
-            if sid in available
-        ]
+        Returns ``(request_id, handles, opening replies)``; the opening
+        replies carry each shard's first rows.
+        """
         request_id = next(self._request_ids)
-        want_trace = tracer is not None
-        streams: dict[int, _ProcessEnumStream] = {}
+        handles: dict = {}
+        opening = wire.OpenEnum(
+            request_id=request_id,
+            query=query,
+            count=self.step_batch,
+            trace=tracer is not None,
+        )
         try:
-
-            def _open(sid: int):
-                try:
-                    self._fault("enum_open", sid)
-                    handle = pool.handle(sid)
-                    batch = handle.request(
-                        wire.OpenEnum(
-                            request_id=request_id,
-                            query=query,
-                            count=self.step_batch,
-                            trace=want_trace,
-                        )
-                    )
-                    return handle, batch
-                except StorageError as exc:
-                    _blame_shard(exc, sid)
-                    raise
-
-            if len(targets) <= 1:
-                opened = [(sid,) + _open(sid) for sid in targets]
-            else:
-                futures = [
-                    (sid, self._step_pool.submit(_open, sid))
-                    for sid in targets
-                ]
-                opened = [(sid,) + f.result() for sid, f in futures]
-            for sid, handle, batch in opened:
-                streams[sid] = _ProcessEnumStream(
-                    self.cube.shards[sid], handle, request_id, batch
-                )
-        except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
-            dead = (
-                exc.shard_id
-                if isinstance(exc, wire.WorkerDiedError) else None
+            replies = self._fan_out(
+                self._targets(query.selections), "enum_open", opening, handles
             )
-            for sid, stream in streams.items():
-                if sid != dead:
-                    try:
-                        stream.abort_close()
-                    except Exception:
-                        pass
-            if dead is not None and not self._replicas_enabled:
-                threading.Thread(
-                    target=self._respawn_quietly,
-                    args=(dead,),
-                    name=f"repro-shard-respawn-{dead}",
-                    daemon=True,
-                ).start()
+        except _SHARD_FAULTS as exc:
+            self._abort_cleanup(handles, request_id, exc)
             raise QueryAbortedError(
                 f"sharded enumeration failed to open: {exc}",
                 partial_rows=[],
                 blocks_accessed=0,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
+                cause=_cause(exc),
             ) from exc
-        return streams
+        return request_id, handles, dict(replies)
+
+    # ------------------------------------------------------------------
+    # shard requests
+    # ------------------------------------------------------------------
+    def _fault(self, point: str, shard_id: int) -> None:
+        if self._fault_hook is not None:
+            self._fault_hook(point, shard_id)
+
+    def _targets(self, selections: dict) -> list[int]:
+        """The consulted shards that hold rows, in shard-map order."""
+        served = set(self._shard_pool.shard_ids)
+        return [
+            sid
+            for sid in self.cube.shard_map.shards_for_query(selections)
+            if sid in served
+        ]
+
+    def _request(self, sid: int, point: str | None, message, handles=None):
+        """One request to shard ``sid``, after fault point ``point``.
+
+        ``handles`` pins the handle a session lives on: the first request
+        records it there and later ones reuse it, so they reach that
+        session's stack and never a replacement (a respawned worker knows
+        no session).  Storage errors are blamed on ``sid``.
+        """
+        try:
+            if point is not None:
+                self._fault(point, sid)
+            handle = handles.get(sid) if handles is not None else None
+            if handle is None:
+                handle = self._shard_pool.handle(sid)
+                if handles is not None:
+                    handles[sid] = handle
+            return handle.request(message)
+        except StorageError as exc:
+            _blame_shard(exc, sid)
+            raise
+
+    def _fan_out(self, sids: list[int], point: str, message, handles: dict):
+        """:meth:`_request` to every shard in ``sids``, concurrently when
+        there are several; returns ``[(sid, reply)]`` in ``sids`` order.
+
+        Waits for every request before raising the first failure, so the
+        caller's cleanup sees every session that opened and never races
+        a request still in flight.
+        """
+        if len(sids) <= 1:
+            return [
+                (sid, self._request(sid, point, message, handles)) for sid in sids
+            ]
+        futures = [
+            (
+                sid,
+                self._step_pool.submit(self._request, sid, point, message, handles),
+            )
+            for sid in sids
+        ]
+        for _sid, future in futures:
+            future.exception()  # waits for it without raising its error
+        return [(sid, future.result()) for sid, future in futures]
+
+    def _fold_closed(self, result: QueryResult, sid: int, closed) -> list:
+        """Add a closed session's accounting to ``result`` and the
+        registry; returns the session's span trees."""
+        result.blocks_accessed += closed.blocks_accessed
+        result.candidates_examined += closed.candidates_examined
+        result.tuples_examined += closed.tuples_examined
+        result.shard_io[sid] = ShardIO(
+            blocks_accessed=closed.blocks_accessed,
+            candidates_examined=closed.candidates_examined,
+            tuples_examined=closed.tuples_examined,
+            device_reads=closed.device_reads,
+        )
+        self.registry.counter(
+            "shard.service.blocks_accessed", shard=str(sid)
+        ).inc(closed.blocks_accessed)
+        self.registry.counter(
+            "shard.service.device_reads", shard=str(sid)
+        ).inc(closed.device_reads)
+        self.registry.merge_counter_items(closed.counter_deltas, shard=str(sid))
+        return closed.spans
+
+    def _abort_cleanup(self, handles: dict, request_id: int, exc: Exception) -> int:
+        """Close the sessions a failed request left open; revive a dead
+        worker.
+
+        Returns the block count recovered from the shards that could
+        still answer a :class:`~repro.serve.wire.CloseSearch` — the
+        abort's ``blocks_accessed`` is therefore a lower bound.
+        """
+        blocks = 0
+        dead = exc.shard_id if isinstance(exc, wire.WorkerDiedError) else None
+        for sid, handle in sorted(handles.items()):
+            if sid == dead or not handle.alive:
+                continue
+            try:
+                closed = handle.request(wire.CloseSearch(request_id))
+            except Exception:
+                continue  # no session opened there, or it died meanwhile
+            blocks += closed.blocks_accessed
+            self.registry.merge_counter_items(
+                closed.counter_deltas, shard=str(sid)
+            )
+        handles.clear()
+        self._revive(exc)
+        return blocks
+
+    def _revive(self, exc: Exception) -> None:
+        """Respawn a dead worker in the background (with replication the
+        failover path promotes a standby instead)."""
+        if isinstance(exc, wire.WorkerDiedError) and not self._replicas_enabled:
+            threading.Thread(
+                target=self._respawn_quietly,
+                args=(exc.shard_id,),
+                name=f"repro-shard-respawn-{exc.shard_id}",
+                daemon=True,
+            ).start()
+
+    def _respawn_quietly(self, shard_id: int) -> None:
+        try:
+            self._shard_pool.respawn(shard_id)
+        except Exception:
+            pass  # the next query's handle() lookup retries once more
+
+    # ------------------------------------------------------------------
+    # top-k
+    # ------------------------------------------------------------------
+    def _run_one(self, query: TopKQuery) -> QueryResult:
+        query.validate_against(self.cube.schema)
+        return self._with_failover(lambda: self._run_one_attempt(query))
+
+    def _run_one_attempt(self, query: TopKQuery) -> QueryResult:
+        tracer = Tracer(self.registry) if self.trace_spans else None
+        started = time.perf_counter()
+        with maybe_span(
+            tracer,
+            "query",
+            k=query.k,
+            selections=dict(sorted(query.selections.items())),
+            ranking=",".join(query.ranking.dims),
+        ) as query_span:
+            try:
+                result, rounds, steps = self._scatter_gather(query, tracer)
+            except QueryAbortedError as exc:
+                self._retain_spans(tracer)
+                self._record_abort(started, query.selections, exc)
+                raise
+            if query_span is not None:
+                query_span.add_many(
+                    blocks_accessed=result.blocks_accessed,
+                    candidates_examined=result.candidates_examined,
+                    tuples_examined=result.tuples_examined,
+                    rows_returned=len(result.rows),
+                )
+        self._retain_spans(tracer)
+        self._record(
+            time.perf_counter() - started,
+            shards=len(result.shard_io or ()),
+            rounds=rounds,
+            steps=steps,
+            blocks=result.blocks_accessed,
+            candidates=result.candidates_examined,
+            tuples=result.tuples_examined,
+            aborted=False,
+        )
+        return result
+
+    def _absorb_batch(
+        self,
+        states: dict,
+        topk: list[tuple[float, int]],
+        k: int,
+        sid: int,
+        batch: "wire.SearchBatch",
+        max_steps: int,
+    ) -> int:
+        """Fold one shard round into the global heap + per-shard state.
+
+        A batch that asked for steps, took none and is not exhausted
+        means the shard certified its *local* top-k (its stop rules are
+        otherwise the strict complement of our eligibility check,
+        evaluated on the same bound and the same shipped ``kth``) — no
+        further step can change this shard's contribution, so it leaves
+        the frontier.
+        """
+        shard = self.cube.shards[sid]
+        for score, local_tid in batch.scored:
+            _push_topk(topk, k, score, shard.to_global(local_tid))
+        states[sid] = {
+            "best_unseen": batch.best_unseen,
+            "done": batch.exhausted or (max_steps > 0 and batch.steps == 0),
+        }
+        if batch.steps:
+            self.registry.counter(
+                "shard.service.steps", shard=str(sid)
+            ).inc(batch.steps)
+        return batch.steps
+
+    def _scatter_gather(
+        self, query: TopKQuery, tracer: Tracer | None
+    ) -> tuple[QueryResult, int, int]:
+        """The merge loop; returns (result, merge rounds, shard steps)."""
+        pool = self._shard_pool
+        targets = self._targets(query.selections)
+        request_id = next(self._request_ids)
+        topk: list[tuple[float, int]] = []
+        states: dict[int, dict] = {}
+        #: shards whose session may be open — what an abort must close
+        handles: dict = {}
+        rounds = 0
+        steps = 0
+        try:
+            with maybe_span(
+                tracer, "shard_merge", shards=list(targets)
+            ) as merge_span:
+                # scatter: open one session per shard, first batch included
+                opening = wire.OpenSearch(
+                    request_id=request_id,
+                    query=query,
+                    kth=None,
+                    max_steps=pool.open_steps,
+                    trace=tracer is not None,
+                )
+                opened = self._fan_out(targets, "scatter", opening, handles)
+                for sid, batch in opened:
+                    shard = self.cube.shards[sid]
+                    # delta rows carry no block bound: merge unconditionally
+                    for score, local_tid in batch.delta_rows:
+                        _push_topk(topk, query.k, score, shard.to_global(local_tid))
+                    steps += self._absorb_batch(
+                        states, topk, query.k, sid, batch, pool.open_steps
+                    )
+
+                # gather: step eligible shards in rounds, refreshing kth
+                while True:
+                    kth = -topk[0][0] if len(topk) >= query.k else None
+                    eligible = [
+                        sid
+                        for sid in targets
+                        if not states[sid]["done"]
+                        and (kth is None or states[sid]["best_unseen"] <= kth)
+                    ]
+                    if not eligible:
+                        break
+                    rounds += 1
+                    step = wire.StepBatch(
+                        request_id=request_id, kth=kth, max_steps=pool.round_steps
+                    )
+                    stepped = self._fan_out(eligible, "merge_round", step, handles)
+                    for sid, batch in stepped:
+                        steps += self._absorb_batch(
+                            states, topk, query.k, sid, batch, pool.round_steps
+                        )
+
+                # finish: collect per-shard accounting + observability.
+                # Inside the merge span on purpose: shard span trees are
+                # adopted while their new parent is still open.
+                result = QueryResult(shard_io={})
+                for sid in sorted(targets):
+                    closed = self._request(
+                        sid, "finish", wire.CloseSearch(request_id), handles
+                    )
+                    del handles[sid]
+                    adopt_spans(merge_span, self._fold_closed(result, sid, closed))
+                if merge_span is not None:
+                    merge_span.add_many(merge_rounds=rounds, shard_steps=steps)
+        except _SHARD_FAULTS as exc:
+            blocks = self._abort_cleanup(handles, request_id, exc)
+            raise QueryAbortedError(
+                f"sharded query aborted after {blocks} block fetch(es): {exc}",
+                partial_rows=_rows_from_heap(topk),
+                blocks_accessed=blocks,
+                cause=_cause(exc),
+            ) from exc
+        rows = _rows_from_heap(topk)
+        if query.projection:
+            rows = [self._project(row, query) for row in rows]
+        result.rows = rows
+        return result, rounds, steps
+
+    def _project(self, row: ResultRow, query: TopKQuery) -> ResultRow:
+        try:
+            record = self.cube.fetch_by_tid(row.tid)
+        except StorageError as exc:
+            owner = self.cube._owner.get(row.tid)
+            if owner is not None:
+                _blame_shard(exc, owner[0])
+            raise
+        schema = self.cube.schema
+        values = tuple(
+            record[schema.position(name)] for name in (query.projection or ())
+        )
+        return ResultRow(tid=row.tid, score=row.score, values=values)
 
     # ------------------------------------------------------------------
     # reverse top-k
     # ------------------------------------------------------------------
-    def submit_reverse(
-        self, query: ReverseTopKQuery
-    ) -> "Future[ReverseTopKResult]":
-        """Enqueue one reverse top-k query (admission-controlled like
-        :meth:`submit`; never coalesced — the payload includes function
-        families that are awkward as cache keys and reverse queries are
-        rarely identical)."""
-        if self._closed:
-            raise ServiceClosedError("ShardedQueryService is closed")
-        with self._inflight_lock:
-            if (
-                self.max_inflight is not None
-                and self._inflight_count >= self.max_inflight
-            ):
-                self._overloaded_counter.inc()
-                raise ServiceOverloadedError(
-                    f"{self._inflight_count} query(ies) already in flight "
-                    f"(max_inflight={self.max_inflight})"
-                )
-            future = self._pool.submit(self._run_reverse, query)
-            self._inflight_count += 1
-        future.add_done_callback(lambda _f: self._release_inflight(None))
-        return future
-
     def _run_reverse(self, query: ReverseTopKQuery) -> ReverseTopKResult:
         return self._with_failover(lambda: self._run_reverse_attempt(query))
 
@@ -1018,24 +1039,10 @@ class ShardedQueryService:
             functions=len(query.functions),
         ) as qspan:
             try:
-                if self.mode == "process":
-                    result = self._reverse_process(query, tracer)
-                else:
-                    result = self._reverse_thread(query, tracer)
+                result = self._reverse(query, tracer)
             except QueryAbortedError as exc:
                 self._retain_spans(tracer)
-                self._record(
-                    time.perf_counter() - started,
-                    shards=len(
-                        self.cube.shard_map.shards_for_query(query.selections)
-                    ),
-                    rounds=0,
-                    steps=0,
-                    blocks=exc.blocks_accessed,
-                    candidates=0,
-                    tuples=0,
-                    aborted=True,
-                )
+                self._record_abort(started, query.selections, exc)
                 raise
             if qspan is not None:
                 qspan.add_many(
@@ -1073,83 +1080,11 @@ class ShardedQueryService:
         )
         return schema, target, matches
 
-    def _reverse_thread(
+    def _reverse(
         self, query: ReverseTopKQuery, tracer: Tracer | None
     ) -> ReverseTopKResult:
         result = ReverseTopKResult()
-        targets: list[tuple[CubeShard, _ShardContext]] = []
-        for shard_id in self.cube.shard_map.shards_for_query(query.selections):
-            shard = self.cube.shards[shard_id]
-            ctx = self._context(shard)
-            if ctx is not None:
-                targets.append((shard, ctx))
-        try:
-            schema, target, matches = self._reverse_target(query)
-            result.target_matches = matches
-            for index, fn in enumerate(query.functions):
-                t_score = fn.score(
-                    [target[schema.position(d)] for d in fn.dims]
-                )
-                result.target_scores.append(t_score)
-                if not matches:
-                    continue
-                with maybe_span(
-                    tracer, "reverse_function",
-                    index=index, ranking=",".join(fn.dims),
-                ) as fspan:
-                    forward = TopKQuery(query.k, query.selections, fn)
-                    preceding = 0
-                    for shard, ctx in targets:
-                        # the target's insertion position in this shard's
-                        # (monotone) tid map: local tids before it precede
-                        # the target on score ties, all others do not
-                        tie_bound = bisect_left(shard.tid_map, query.tid)
-                        try:
-                            self._fault("reverse_count", shard.shard_id)
-                            n, sub = count_preceding(
-                                ctx.executor, forward, t_score, tie_bound
-                            )
-                        except StorageError as exc:
-                            _blame_shard(exc, shard.shard_id)
-                            raise
-                        preceding += n
-                        result.blocks_accessed += sub.blocks_accessed
-                        result.candidates_examined += sub.candidates_examined
-                        result.tuples_examined += sub.tuples_examined
-                        self.registry.counter(
-                            "shard.service.blocks_accessed",
-                            shard=str(shard.shard_id),
-                        ).inc(sub.blocks_accessed)
-                        if preceding >= query.k:
-                            break
-                    in_topk = preceding < query.k
-                    if in_topk:
-                        result.qualifying.append(index)
-                    if fspan is not None:
-                        fspan.add("preceding", preceding)
-                        fspan.add("in_topk", int(in_topk))
-        except StorageError as exc:
-            raise QueryAbortedError(
-                f"sharded reverse top-k aborted after "
-                f"{result.blocks_accessed} block fetch(es): {exc}",
-                partial_rows=[],
-                blocks_accessed=result.blocks_accessed,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        return result
-
-    def _reverse_process(
-        self, query: ReverseTopKQuery, tracer: Tracer | None
-    ) -> ReverseTopKResult:
-        pool = self._proc_pool
-        assert pool is not None
-        result = ReverseTopKResult()
-        available = set(pool.shard_ids)
-        targets = [
-            sid
-            for sid in self.cube.shard_map.shards_for_query(query.selections)
-            if sid in available
-        ]
+        targets = self._targets(query.selections)
         try:
             schema, target, matches = self._reverse_target(query)
             result.target_matches = matches
@@ -1167,16 +1102,21 @@ class ShardedQueryService:
                     forward = TopKQuery(query.k, query.selections, fn)
                     preceding = 0
                     for sid in targets:
-                        self._fault("reverse_count", sid)
-                        shard = self.cube.shards[sid]
-                        tie_bound = bisect_left(shard.tid_map, query.tid)
-                        reply = pool.handle(sid).request(
+                        # the target's insertion position in this shard's
+                        # (monotone) tid map: local tids before it precede
+                        # the target on score ties, all others do not
+                        tie_bound = bisect_left(
+                            self.cube.shards[sid].tid_map, query.tid
+                        )
+                        reply = self._request(
+                            sid,
+                            "reverse_count",
                             wire.ReverseCount(
                                 request_id=next(self._request_ids),
                                 query=forward,
                                 t_score=t_score,
                                 tie_tid=tie_bound,
-                            )
+                            ),
                         )
                         preceding += reply.preceding
                         result.blocks_accessed += reply.blocks_accessed
@@ -1201,485 +1141,16 @@ class ShardedQueryService:
                     if fspan is not None:
                         fspan.add("preceding", preceding)
                         fspan.add("in_topk", int(in_topk))
-        except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
-            dead = (
-                exc.shard_id
-                if isinstance(exc, wire.WorkerDiedError) else None
-            )
-            if dead is not None and not self._replicas_enabled:
-                threading.Thread(
-                    target=self._respawn_quietly,
-                    args=(dead,),
-                    name=f"repro-shard-respawn-{dead}",
-                    daemon=True,
-                ).start()
+        except _SHARD_FAULTS as exc:
+            self._revive(exc)
             raise QueryAbortedError(
                 f"sharded reverse top-k aborted after "
                 f"{result.blocks_accessed} block fetch(es): {exc}",
                 partial_rows=[],
                 blocks_accessed=result.blocks_accessed,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
+                cause=_cause(exc),
             ) from exc
         return result
-
-    # ------------------------------------------------------------------
-    def _context(self, shard: CubeShard) -> _ShardContext | None:
-        """The shard's serving context, created on demand (late builds)."""
-        ctx = self._contexts.get(shard.shard_id)
-        if ctx is not None:
-            return ctx
-        if shard.cube is None:
-            return None
-        with self._contexts_lock:
-            ctx = self._contexts.get(shard.shard_id)
-            if ctx is None:
-                ctx = _ShardContext(
-                    shard, self.share_caches, self.buffer_pseudo_blocks
-                )
-                self._contexts[shard.shard_id] = ctx
-            return ctx
-
-    def _run_one(self, query: TopKQuery) -> QueryResult:
-        query.validate_against(self.cube.schema)
-        return self._with_failover(lambda: self._run_one_attempt(query))
-
-    def _with_failover(self, attempt):
-        """Run one query attempt, retrying whole on replica promotion.
-
-        Failover retries the *entire* query rather than resuming the
-        aborted merge: per-shard search state died with the shard, and
-        the merge is deterministic, so a clean re-run on the promoted
-        replica is byte-identical to a run that never saw the fault.
-        Each failed attempt is still recorded as an aborted attempt in
-        :attr:`stats`; the failover itself shows up in the
-        ``shard.replica.failovers`` counter.
-        """
-        attempts = 0
-        while True:
-            try:
-                return attempt()
-            except StorageError as exc:  # includes QueryAbortedError
-                sid = self._dead_shard_of(exc)
-                if sid is None or attempts >= self._max_failovers:
-                    raise
-                tracer = Tracer(self.registry) if self.trace_spans else None
-                if not self._failover(sid, tracer):
-                    raise
-                self._retain_spans(tracer)
-                attempts += 1
-
-    def _run_one_attempt(self, query: TopKQuery) -> QueryResult:
-        tracer = Tracer(self.registry) if self.trace_spans else None
-        started = time.perf_counter()
-        with maybe_span(
-            tracer,
-            "query",
-            k=query.k,
-            selections=dict(sorted(query.selections.items())),
-            ranking=",".join(query.ranking.dims),
-        ) as query_span:
-            try:
-                if self.mode == "process":
-                    result, rounds, steps = self._scatter_gather_process(
-                        query, tracer
-                    )
-                else:
-                    result, rounds, steps = self._scatter_gather(query, tracer)
-            except QueryAbortedError as exc:
-                self._retain_spans(tracer)
-                self._record(
-                    time.perf_counter() - started,
-                    shards=len(
-                        self.cube.shard_map.shards_for_query(query.selections)
-                    ),
-                    rounds=0,
-                    steps=0,
-                    blocks=exc.blocks_accessed,
-                    candidates=0,
-                    tuples=0,
-                    aborted=True,
-                )
-                raise
-            if query_span is not None:
-                query_span.add_many(
-                    blocks_accessed=result.blocks_accessed,
-                    candidates_examined=result.candidates_examined,
-                    tuples_examined=result.tuples_examined,
-                    rows_returned=len(result.rows),
-                )
-        self._retain_spans(tracer)
-        self._record(
-            time.perf_counter() - started,
-            shards=len(result.shard_io or ()),
-            rounds=rounds,
-            steps=steps,
-            blocks=result.blocks_accessed,
-            candidates=result.candidates_examined,
-            tuples=result.tuples_examined,
-            aborted=False,
-        )
-        return result
-
-    def _scatter_gather(
-        self, query: TopKQuery, tracer: Tracer | None
-    ) -> tuple[QueryResult, int, int]:
-        """The merge loop; returns (result, merge rounds, shard steps)."""
-        targets: list[tuple[CubeShard, _ShardContext]] = []
-        for shard_id in self.cube.shard_map.shards_for_query(query.selections):
-            shard = self.cube.shards[shard_id]
-            ctx = self._context(shard)
-            if ctx is not None:  # empty shards hold no rows at all
-                targets.append((shard, ctx))
-
-        topk: list[tuple[float, int]] = []
-        searches: dict[int, tuple[CubeShard, ProgressiveSearch]] = {}
-        io_before = {
-            shard.shard_id: shard.db.io_snapshot() for shard, _ctx in targets
-        }
-        rounds = 0
-        steps = 0
-        try:
-            with maybe_span(
-                tracer, "shard_merge", shards=[s.shard_id for s, _ in targets]
-            ) as merge_span:
-                for shard, ctx in targets:
-                    try:
-                        self._fault("scatter", shard.shard_id)
-                        search = ProgressiveSearch(
-                            ctx.executor, query, ExecutorTrace()
-                        )
-                        searches[shard.shard_id] = (shard, search)
-                        # delta rows carry no block bound: merge up front
-                        for score, local_tid in search.delta_rows():
-                            _push_topk(
-                                topk, query.k, score, shard.to_global(local_tid)
-                            )
-                    except StorageError as exc:
-                        _blame_shard(exc, shard.shard_id)
-                        raise
-
-                def _step_one(shard, search):
-                    try:
-                        self._fault("merge_round", shard.shard_id)
-                        return search.step()
-                    except StorageError as exc:
-                        _blame_shard(exc, shard.shard_id)
-                        raise
-
-                while True:
-                    kth = -topk[0][0] if len(topk) >= query.k else None
-                    eligible = [
-                        (shard, search)
-                        for shard, search in searches.values()
-                        if not search.exhausted
-                        and (kth is None or search.best_unseen <= kth)
-                    ]
-                    if not eligible:
-                        break
-                    rounds += 1
-                    if len(eligible) == 1:
-                        batches = [
-                            (eligible[0][0], _step_one(*eligible[0]))
-                        ]
-                    else:
-                        futures = [
-                            (shard, self._step_pool.submit(_step_one, shard, search))
-                            for shard, search in eligible
-                        ]
-                        batches = [
-                            (shard, future.result()) for shard, future in futures
-                        ]
-                    for shard, scored in batches:
-                        steps += 1
-                        self.registry.counter(
-                            "shard.service.steps", shard=str(shard.shard_id)
-                        ).inc()
-                        for score, local_tid in scored:
-                            _push_topk(
-                                topk, query.k, score, shard.to_global(local_tid)
-                            )
-                if merge_span is not None:
-                    merge_span.add_many(merge_rounds=rounds, shard_steps=steps)
-        except StorageError as exc:
-            partial = self._finalize(query, topk, searches, io_before)
-            raise QueryAbortedError(
-                f"sharded query aborted after {partial.blocks_accessed} "
-                f"block fetch(es): {exc}",
-                partial_rows=partial.rows,
-                blocks_accessed=partial.blocks_accessed,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        result = self._finalize(query, topk, searches, io_before)
-        return result, rounds, steps
-
-    # ------------------------------------------------------------------
-    # process-mode scatter-gather
-    # ------------------------------------------------------------------
-    def _fault(self, point: str, shard_id: int) -> None:
-        if self._fault_hook is not None:
-            self._fault_hook(point, shard_id)
-
-    def _absorb_batch(
-        self,
-        states: dict,
-        topk: list[tuple[float, int]],
-        k: int,
-        shard: CubeShard,
-        batch: "wire.SearchBatch",
-    ) -> int:
-        """Fold one worker round into the global heap + per-shard state.
-
-        A batch with ``steps == 0`` that is not exhausted means the
-        worker certified its *local* top-k (its stop rules are otherwise
-        the strict complement of our eligibility check, evaluated on the
-        same bound and the same shipped ``kth``) — no further step can
-        change this shard's contribution, so it leaves the frontier.
-        """
-        for score, local_tid in batch.scored:
-            _push_topk(topk, k, score, shard.to_global(local_tid))
-        states[shard.shard_id] = {
-            "best_unseen": batch.best_unseen,
-            "done": batch.exhausted or batch.steps == 0,
-        }
-        if batch.steps:
-            self.registry.counter(
-                "shard.service.steps", shard=str(shard.shard_id)
-            ).inc(batch.steps)
-        return batch.steps
-
-    def _scatter_gather_process(
-        self, query: TopKQuery, tracer: Tracer | None
-    ) -> tuple[QueryResult, int, int]:
-        """The same merge loop, one pipe round trip per shard per round."""
-        pool = self._proc_pool
-        assert pool is not None
-        available = set(pool.shard_ids)
-        targets = [
-            sid
-            for sid in self.cube.shard_map.shards_for_query(query.selections)
-            if sid in available
-        ]
-        request_id = next(self._request_ids)
-        want_trace = tracer is not None
-        topk: list[tuple[float, int]] = []
-        states: dict[int, dict] = {}
-        handles: dict[int, object] = {}
-        opened: list[int] = []
-        rounds = 0
-        steps = 0
-        try:
-            with maybe_span(
-                tracer, "shard_merge", shards=list(targets)
-            ) as merge_span:
-                # scatter: open one session per shard, first batch included
-                def _open(sid: int):
-                    try:
-                        self._fault("scatter", sid)
-                        handle = pool.handle(sid)
-                        handles[sid] = handle
-                        return handle.request(
-                            wire.OpenSearch(
-                                request_id=request_id,
-                                query=query,
-                                kth=None,
-                                max_steps=self.step_batch,
-                                trace=want_trace,
-                            )
-                        )
-                    except StorageError as exc:
-                        _blame_shard(exc, sid)
-                        raise
-
-                if len(targets) <= 1:
-                    batches = [(sid, _open(sid)) for sid in targets]
-                else:
-                    futures = [
-                        (sid, self._step_pool.submit(_open, sid))
-                        for sid in targets
-                    ]
-                    batches = [(sid, f.result()) for sid, f in futures]
-                for sid, batch in batches:
-                    opened.append(sid)
-                    shard = self.cube.shards[sid]
-                    # delta rows carry no block bound: merge unconditionally
-                    for score, local_tid in batch.delta_rows:
-                        _push_topk(topk, query.k, score, shard.to_global(local_tid))
-                    steps += self._absorb_batch(states, topk, query.k, shard, batch)
-
-                # gather: step eligible shards in batches, refreshing kth
-                while True:
-                    kth = -topk[0][0] if len(topk) >= query.k else None
-                    eligible = [
-                        sid
-                        for sid in opened
-                        if not states[sid]["done"]
-                        and (kth is None or states[sid]["best_unseen"] <= kth)
-                    ]
-                    if not eligible:
-                        break
-                    rounds += 1
-
-                    def _step(sid: int, kth=kth):
-                        try:
-                            self._fault("merge_round", sid)
-                            return handles[sid].request(
-                                wire.StepBatch(
-                                    request_id=request_id,
-                                    kth=kth,
-                                    max_steps=self.step_batch,
-                                )
-                            )
-                        except StorageError as exc:
-                            _blame_shard(exc, sid)
-                            raise
-
-                    if len(eligible) == 1:
-                        round_batches = [(eligible[0], _step(eligible[0]))]
-                    else:
-                        futures = [
-                            (sid, self._step_pool.submit(_step, sid))
-                            for sid in eligible
-                        ]
-                        round_batches = [(sid, f.result()) for sid, f in futures]
-                    for sid, batch in round_batches:
-                        steps += self._absorb_batch(
-                            states, topk, query.k, self.cube.shards[sid], batch
-                        )
-
-                # finish: collect per-shard accounting + observability.
-                # Inside the merge span on purpose: worker span trees are
-                # adopted while their new parent is still open.
-                result = QueryResult(shard_io={})
-                assert result.shard_io is not None
-                for sid in sorted(opened):
-                    self._fault("finish", sid)
-                    closed = handles[sid].request(wire.CloseSearch(request_id))
-                    result.blocks_accessed += closed.blocks_accessed
-                    result.candidates_examined += closed.candidates_examined
-                    result.tuples_examined += closed.tuples_examined
-                    result.shard_io[sid] = ShardIO(
-                        blocks_accessed=closed.blocks_accessed,
-                        candidates_examined=closed.candidates_examined,
-                        tuples_examined=closed.tuples_examined,
-                        device_reads=closed.device_reads,
-                    )
-                    self.registry.counter(
-                        "shard.service.blocks_accessed", shard=str(sid)
-                    ).inc(closed.blocks_accessed)
-                    self.registry.counter(
-                        "shard.service.device_reads", shard=str(sid)
-                    ).inc(closed.device_reads)
-                    self.registry.merge_counter_items(
-                        closed.counter_deltas, shard=str(sid)
-                    )
-                    if merge_span is not None:
-                        adopt_spans(merge_span, closed.spans)
-                if merge_span is not None:
-                    merge_span.add_many(merge_rounds=rounds, shard_steps=steps)
-        except (StorageError, wire.WorkerDiedError, ProcPoolError) as exc:
-            blocks = self._abort_cleanup(handles, opened, request_id, exc)
-            raise QueryAbortedError(
-                f"sharded query aborted after {blocks} block fetch(es): {exc}",
-                partial_rows=_rows_from_heap(topk),
-                blocks_accessed=blocks,
-                cause=exc.cause if isinstance(exc, QueryAbortedError) else exc,
-            ) from exc
-        rows = _rows_from_heap(topk)
-        if query.projection:
-            rows = [self._project(row, query) for row in rows]
-        result.rows = rows
-        return result, rounds, steps
-
-    def _abort_cleanup(
-        self, handles: dict, opened: list[int], request_id: int, exc: Exception
-    ) -> int:
-        """Close surviving sessions, kick a dead worker's respawn.
-
-        Returns the block count recovered from the shards that could
-        still answer a :class:`~repro.serve.wire.CloseSearch` — the
-        abort's ``blocks_accessed`` is therefore a lower bound.
-        """
-        blocks = 0
-        dead = exc.shard_id if isinstance(exc, wire.WorkerDiedError) else None
-        for sid in opened:
-            if sid == dead:
-                continue
-            handle = handles.get(sid)
-            if handle is None or not handle.alive:
-                continue
-            try:
-                closed = handle.request(wire.CloseSearch(request_id))
-            except Exception:
-                continue  # best effort: the query is aborting anyway
-            blocks += closed.blocks_accessed
-            self.registry.merge_counter_items(
-                closed.counter_deltas, shard=str(sid)
-            )
-        if dead is not None and not self._replicas_enabled:
-            threading.Thread(
-                target=self._respawn_quietly,
-                args=(dead,),
-                name=f"repro-shard-respawn-{dead}",
-                daemon=True,
-            ).start()
-        return blocks
-
-    def _respawn_quietly(self, shard_id: int) -> None:
-        pool = self._proc_pool
-        if pool is None:
-            return
-        try:
-            pool.respawn(shard_id)
-        except Exception:
-            pass  # the next query's handle() lookup retries once more
-
-    def _finalize(
-        self,
-        query: TopKQuery,
-        topk: list[tuple[float, int]],
-        searches: dict[int, tuple[CubeShard, ProgressiveSearch]],
-        io_before: dict,
-    ) -> QueryResult:
-        """Assemble the merged QueryResult with per-shard attribution."""
-        result = QueryResult(shard_io={})
-        assert result.shard_io is not None
-        for shard_id, (shard, search) in sorted(searches.items()):
-            sub = search.result
-            result.blocks_accessed += sub.blocks_accessed
-            result.candidates_examined += sub.candidates_examined
-            result.tuples_examined += sub.tuples_examined
-            device_reads = shard.db.io_since(io_before[shard_id]).reads
-            result.shard_io[shard_id] = ShardIO(
-                blocks_accessed=sub.blocks_accessed,
-                candidates_examined=sub.candidates_examined,
-                tuples_examined=sub.tuples_examined,
-                device_reads=device_reads,
-            )
-            self.registry.counter(
-                "shard.service.blocks_accessed", shard=str(shard_id)
-            ).inc(sub.blocks_accessed)
-            self.registry.counter(
-                "shard.service.device_reads", shard=str(shard_id)
-            ).inc(device_reads)
-        rows = _rows_from_heap(topk)
-        if query.projection:
-            rows = [self._project(row, query) for row in rows]
-        result.rows = rows
-        return result
-
-    def _project(self, row: ResultRow, query: TopKQuery) -> ResultRow:
-        try:
-            record = self.cube.fetch_by_tid(row.tid)
-        except StorageError as exc:
-            owner = self.cube._owner.get(row.tid)
-            if owner is not None:
-                _blame_shard(exc, owner[0])
-            raise
-        schema = self.cube.schema
-        values = tuple(
-            record[schema.position(name)] for name in (query.projection or ())
-        )
-        return ResultRow(tid=row.tid, score=row.score, values=values)
 
     # ------------------------------------------------------------------
     def _record(
@@ -1711,6 +1182,20 @@ class ShardedQueryService:
             self._aborted_counter.inc()
         self._latency_hist.observe(latency_s)
 
+    def _record_abort(
+        self, started: float, selections: dict, exc: QueryAbortedError
+    ) -> None:
+        self._record(
+            time.perf_counter() - started,
+            shards=len(self.cube.shard_map.shards_for_query(selections)),
+            rounds=0,
+            steps=0,
+            blocks=exc.blocks_accessed,
+            candidates=0,
+            tuples=0,
+            aborted=True,
+        )
+
     def _retain_spans(self, tracer: Tracer | None) -> None:
         if tracer is None or not tracer.roots:
             return
@@ -1725,31 +1210,15 @@ class ShardedQueryService:
     def cold_cache(self) -> None:
         """Evict every shard's buffered pages *and* shared caches.
 
-        Mode-transparent: thread mode cools the in-process shard stacks,
-        process mode broadcasts :class:`~repro.serve.wire.ColdCache` to
-        every worker (their buffer pools are not reachable from here).
+        Mode-transparent: :class:`~repro.serve.wire.ColdCache` goes to
+        every shard (in process mode to the standbys too).
         """
-        if self._proc_pool is not None:
-            self._proc_pool.cold_cache()
-        else:
-            self.cube.cold_cache()
-            self.invalidate_caches()
-
-    def invalidate_caches(self) -> None:
-        """Drop every shard's shared caches."""
-        for ctx in self._contexts.values():
-            if ctx.pseudo_cache is not None:
-                ctx.pseudo_cache.clear()
-            if ctx.bound_memo is not None:
-                ctx.bound_memo.clear()
+        self._shard_pool.cold_cache()
 
     def shard_cache_stats(self) -> dict[int, dict[str, int]]:
-        """Per-shard pseudo-block cache counters (empty when disabled)."""
-        out: dict[int, dict[str, int]] = {}
-        for shard_id, ctx in sorted(self._contexts.items()):
-            if ctx.pseudo_cache is not None:
-                out[shard_id] = ctx.pseudo_cache.stats.snapshot()
-        return out
+        """Per-shard pseudo-block cache counters (empty when disabled,
+        and in process mode, where the caches live in the workers)."""
+        return self._shard_pool.cache_stats()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1761,10 +1230,7 @@ class ShardedQueryService:
         self._closed = True
         self._pool.shutdown(wait=wait)
         self._step_pool.shutdown(wait=wait)
-        for ctx in self._contexts.values():
-            ctx.unhook()
-        if self._proc_pool is not None:
-            self._proc_pool.close()
+        self._shard_pool.close()
         if self._owned_spill_dir is not None:
             shutil.rmtree(self._owned_spill_dir, ignore_errors=True)
             self._owned_spill_dir = None

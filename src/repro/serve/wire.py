@@ -113,7 +113,7 @@ class OpenSearch:
     ``kth`` is the front end's current global k-th best score (``None``
     until the global heap is full); the worker steps while its certified
     ``best_unseen`` bound is ``<= kth`` (non-strict — the same continue
-    rule the thread-mode merge uses, so tid tie-breaking survives), while
+    rule the serial executor uses, so tid tie-breaking survives), while
     its *local* top-k is not yet certified, and while ``max_steps`` is
     not exhausted.
     """
@@ -211,9 +211,8 @@ class SearchBatch:
 
     ``delta_rows`` is non-empty only on the opening batch: the snapshot's
     delta store carries no block bound, so its matches merge into the
-    global heap unconditionally before the frontier loop (exactly as in
-    thread mode).  Tids are **shard-local**; the front end translates via
-    the shard's tid map.
+    global heap unconditionally before the frontier loop.  Tids are
+    **shard-local**; the front end translates via the shard's tid map.
     """
 
     request_id: int
@@ -294,8 +293,8 @@ class WorkerFault:
 
     ``error`` is the pickled typed exception itself (storage errors and
     :class:`~repro.core.executor.QueryAbortedError` round-trip pickle by
-    contract), so the front end re-raises the same type it would have
-    seen in thread mode.
+    contract), so the front end re-raises the same type an in-process
+    shard stack raises.
     """
 
     request_id: int | None

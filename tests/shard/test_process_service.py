@@ -1,8 +1,12 @@
-"""Process-mode sharded serving: identity, observability, admission.
+"""Sharded serving contracts in both modes, and process-mode policies.
 
-The deep worker-kill matrix lives in ``tests/faults/test_worker_kill.py``;
-this suite covers the happy path and the front-end policies (coalescing,
-admission control, spill-directory lifecycle).
+Thread and process mode run one coordinator over two shard pools, so
+the observability contracts (shard attribution, counters folded under
+``shard=<id>``, span adoption), every documented ``fault_hook`` point and
+session cleanup on abort are checked in both.  The deep worker-kill
+matrix lives in ``tests/faults/test_worker_kill.py``; the rest of this
+suite covers process-mode identity and the front-end policies
+(coalescing, admission control, spill-directory lifecycle).
 """
 
 import random
@@ -10,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.core import QueryAbortedError, ReverseTopKQuery, simplex_grid_family
 from repro.obs.metrics import MetricsRegistry
 from repro.persist import save_sharded_workspace
 from repro.ranking import LinearFunction
@@ -24,7 +29,9 @@ from repro.serve import (
     ServiceOverloadedError,
     ShardedQueryService,
 )
+from repro.serve import wire
 from repro.shard import build_sharded
+from repro.storage import StorageError
 
 pytestmark = [pytest.mark.serve, pytest.mark.timeout(120)]
 
@@ -85,8 +92,12 @@ class TestProcessModeIdentity:
             assert signature(want) == signature(have)
             assert [r.values for r in want.rows] == [r.values for r in have.rows]
 
-    def test_shard_attribution_is_complete(self, proc_service):
-        result = proc_service.submit(query(k=4, a1=1)).result()
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+class TestBothModes:
+    def test_shard_attribution_is_complete(self, cube, mode):
+        with ShardedQueryService(cube, workers=2, mode=mode) as service:
+            result = service.submit(query(k=4, a1=1)).result()
         assert sorted(result.shard_io) == [0, 1, 2]
         assert result.blocks_accessed == sum(
             io.blocks_accessed for io in result.shard_io.values()
@@ -95,21 +106,21 @@ class TestProcessModeIdentity:
             io.tuples_examined for io in result.shard_io.values()
         )
 
-    def test_worker_counters_aggregate_with_shard_label(self, cube):
+    def test_counters_fold_under_shard_label(self, cube, mode):
         registry = MetricsRegistry()
         with ShardedQueryService(
-            cube, workers=1, mode="process", registry=registry
+            cube, workers=1, mode=mode, registry=registry
         ) as service:
             service.submit(query(k=4)).result()
         snap = registry.snapshot()
         assert snap["shard.service.queries"] == 1
-        # worker-side storage/cache series land here with a shard label
+        # shard-side storage/cache series land here with a shard label
         merged = [k for k in snap if "shard=" in k and k.startswith("serve.cache.")]
         assert merged, sorted(snap)
 
-    def test_worker_spans_adopted_under_merge_span(self, cube):
+    def test_spans_adopted_under_merge_span(self, cube, mode):
         with ShardedQueryService(
-            cube, workers=1, mode="process", trace_spans=True
+            cube, workers=1, mode=mode, trace_spans=True
         ) as service:
             service.submit(query(k=3, a1=0)).result()
         root = service.spans[-1]
@@ -118,6 +129,82 @@ class TestProcessModeIdentity:
         batches = [c for c in merge.children if c.name == "shard_batch"]
         assert {b.attributes["shard"] for b in batches} == {0, 1, 2}
         assert merge.counters["shard_steps"] >= 1
+
+
+#: Every point ``fault_hook`` documents for both modes.
+FAULT_POINTS = (
+    "scatter", "merge_round", "finish", "enum_open", "enum_next",
+    "reverse_count", "promote",
+)
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+class TestFaultSeams:
+    def test_every_documented_fault_point_fires(self, mode):
+        rows = make_rows()
+        cube = build_sharded(
+            SCHEMA, rows, 2, block_size=8, replication_factor=2
+        )
+        fired = set()
+        kill = {"armed": False}
+
+        def hook(point, shard_id):
+            fired.add(point)
+            if kill["armed"] and point == "scatter" and shard_id == 1:
+                kill["armed"] = False  # one primary death, then heal
+                if mode == "thread":
+                    raise StorageError("injected primary death (shard 1)")
+                worker = service._shard_pool._handles[1].process
+                worker.kill()
+                worker.join(timeout=10)
+
+        with ShardedQueryService(
+            cube, workers=1, mode=mode, fault_hook=hook, step_batch=2,
+            worker_timeout_s=30.0,
+        ) as service:
+            expected = signature(service.submit(query(k=20)).result())
+            with service.open_search(query(k=3)) as cursor:
+                assert len(cursor.next_batch(12)) == 12
+            best = min(range(len(rows)), key=lambda t: (rows[t][2] + rows[t][3], t))
+            service.submit_reverse(
+                ReverseTopKQuery(best, 5, {}, simplex_grid_family(["n1", "n2"], 3))
+            ).result()
+            kill["armed"] = True
+            assert signature(service.submit(query(k=20)).result()) == expected
+        assert set(FAULT_POINTS) <= fired, sorted(set(FAULT_POINTS) - fired)
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+class TestAbortCleanup:
+    def test_aborted_open_closes_the_sessions_that_opened(self, mode):
+        """Shard 1 fails to open; the session shard 0 opened must close."""
+        cube = build_sharded(SCHEMA, make_rows(), 2, block_size=8)
+
+        def hook(point, shard_id):
+            if point == "scatter" and shard_id == 1:
+                raise StorageError("injected scatter fault (shard 1)")
+
+        with ShardedQueryService(
+            cube, workers=1, mode=mode, fault_hook=hook
+        ) as service:
+            handle = service._shard_pool.handle(0)
+            request = handle.request
+            sent = []
+
+            def recording(message, *args, **kwargs):
+                sent.append(message)
+                return request(message, *args, **kwargs)
+
+            handle.request = recording
+            with pytest.raises(QueryAbortedError):
+                service.submit(query(k=5)).result()
+            (opened,) = [
+                m.request_id for m in sent if isinstance(m, wire.OpenSearch)
+            ]
+            if mode == "thread":
+                assert handle.sessions == {}
+            with pytest.raises(wire.WireError, match="no open session"):
+                request(wire.CloseSearch(opened))
 
 
 class TestFrontEndPolicies:
@@ -192,7 +279,7 @@ class TestLifecycle:
 
     def test_close_terminates_workers_and_rejects_queries(self, cube):
         service = ShardedQueryService(cube, workers=1, mode="process")
-        pool = service._proc_pool
+        pool = service._shard_pool
         procs = [h.process for h in pool._handles.values()]
         assert all(p.is_alive() for p in procs)
         service.close()

@@ -1,6 +1,7 @@
 """Unit tests for the sharded builder and scatter-gather service."""
 
 import random
+import sys
 
 import pytest
 
@@ -180,6 +181,31 @@ class TestShardedQueryService:
         with ShardedQueryService(cube, workers=1) as service:
             pruned_map = cube.shard_map.shards_for_query({})
             assert pruned_map == (0, 1)
+
+    @pytest.mark.timeout(120)
+    def test_concurrent_queries_share_shard_stacks(self):
+        """Many threads open, step and close sessions on the same
+        in-process shard stacks at once: every answer matches its serial
+        run and no session is left behind."""
+        rows = make_rows(300, seed=9)
+        cube = build_sharded(SCHEMA, rows, 3, block_size=8)
+        queries = [
+            query(k=k, **sel)
+            for k in (1, 4, 9)
+            for sel in ({}, {"a1": 0}, {"a2": 3}, {"a1": 2, "a2": 1})
+        ] * 4
+        with ShardedQueryService(cube, workers=1) as serial:
+            expected = [serial.submit(q).result().rows for q in queries]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedQueryService(cube, workers=6, step_workers=6) as service:
+                got = [f.result().rows for f in [service.submit(q) for q in queries]]
+                stacks = [service._shard_pool.handle(s) for s in range(3)]
+                assert all(stack.sessions == {} for stack in stacks)
+        finally:
+            sys.setswitchinterval(previous)
+        assert got == expected
 
     def test_closed_service_rejects_queries(self):
         cube = build_sharded(SCHEMA, make_rows(40), 2, block_size=8)
